@@ -1,14 +1,18 @@
 // Microbenchmarks of the cryptographic substrate on the build host.
 //
-// These measurements ground the simulator's cost model (sim/cost_model.hpp):
-// the MAC/digest base and per-byte constants are this host's measured
-// values scaled to the paper's Java-on-2013-Xeon environment (see
-// EXPERIMENTS.md, "Cost-model calibration").
+// These are this machine's real costs: SHA-256 on whichever compression
+// version the CPU selects (SHA-NI or the scalar rounds; the run's context
+// records which as `sha256_compress`), HMAC under a raw key, and MACs
+// through make_real_crypto, the per-pair midstate cache the replicas use.
+// They do not feed the simulator: the MAC and digest constants in
+// sim/cost_model.hpp describe the paper's 2013 Java testbed (EXPERIMENTS.md,
+// "Cost-model calibration") and stay as they are.
 #include <benchmark/benchmark.h>
 
 #include "crypto/authenticator.hpp"
 #include "crypto/provider.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_compress.hpp"
 #include "protocol/messages.hpp"
 
 namespace {
@@ -35,6 +39,19 @@ void BM_HmacMac(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_HmacMac)->Arg(64)->Arg(100)->Arg(256)->Arg(1024)->Arg(4096);
+
+// One MAC the way a replica computes it: through the provider, whose
+// per-thread cache already holds the pair's midstates after the first call.
+void BM_ProviderMac(benchmark::State& state) {
+  auto crypto = crypto::make_real_crypto(7);
+  Bytes data(static_cast<std::size_t>(state.range(0)), Byte{0x5a});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto->mac(0, 1, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ProviderMac)->Arg(100)->Arg(1024);
 
 void BM_AuthenticatorBuild3(benchmark::State& state) {
   auto crypto = crypto::make_real_crypto(7);
@@ -94,4 +111,12 @@ BENCHMARK(BM_NullCryptoDigest);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("sha256_compress",
+                              crypto::detail::active_compress_name());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -2,7 +2,7 @@
 
 namespace copbft::crypto {
 
-Digest hmac_sha256(const SymmetricKey& key, ByteSpan data) {
+HmacKey::HmacKey(const SymmetricKey& key) {
   // Key is exactly 32 bytes (< 64-byte block), so no pre-hash is needed.
   Byte ipad[64];
   Byte opad[64];
@@ -12,22 +12,38 @@ Digest hmac_sha256(const SymmetricKey& key, ByteSpan data) {
     opad[i] = static_cast<Byte>(k ^ 0x5c);
   }
 
-  Sha256 inner;
-  inner.update(ByteSpan{ipad, sizeof ipad});
+  Sha256 in;
+  in.update(ByteSpan{ipad, sizeof ipad});
+  inner = in.midstate();
+
+  Sha256 out;
+  out.update(ByteSpan{opad, sizeof opad});
+  outer = out.midstate();
+}
+
+Digest hmac_sha256(const HmacKey& key, ByteSpan data) {
+  Sha256 inner(key.inner);
   inner.update(data);
   Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(ByteSpan{opad, sizeof opad});
+  Sha256 outer(key.outer);
   outer.update(inner_digest.span());
   return outer.finish();
 }
 
-Mac hmac_mac(const SymmetricKey& key, ByteSpan data) {
+Digest hmac_sha256(const SymmetricKey& key, ByteSpan data) {
+  return hmac_sha256(HmacKey(key), data);
+}
+
+Mac hmac_mac(const HmacKey& key, ByteSpan data) {
   Digest full = hmac_sha256(key, data);
   Mac mac;
   std::copy_n(full.bytes.begin(), mac.bytes.size(), mac.bytes.begin());
   return mac;
+}
+
+Mac hmac_mac(const SymmetricKey& key, ByteSpan data) {
+  return hmac_mac(HmacKey(key), data);
 }
 
 bool mac_equal(const Mac& a, const Mac& b) {

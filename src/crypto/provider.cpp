@@ -1,5 +1,8 @@
 #include "crypto/provider.hpp"
 
+#include <atomic>
+#include <utility>
+
 #include "crypto/sha256.hpp"
 
 namespace copbft::crypto {
@@ -25,13 +28,61 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+std::atomic<std::uint64_t> next_provider_id{1};
+
+// One thread's derived pair keys: 4-way set associative, least recently
+// used way evicted. Provider id 0 marks a way that was never filled.
+class PairKeyCache {
+ public:
+  template <typename Derive>
+  HmacKey get(std::uint64_t provider, std::uint64_t pair, Derive derive) {
+    Way* set = ways_[mix(provider * 0x9e3779b97f4a7c15ULL ^ pair) % kSets];
+    Way* victim = &set[0];
+    ++clock_;
+    for (std::size_t i = 0; i < kWays; ++i) {
+      Way& way = set[i];
+      if (way.provider == provider && way.pair == pair) {
+        way.used = clock_;
+        return way.key;
+      }
+      if (way.used < victim->used) victim = &way;
+    }
+    *victim = Way{provider, pair, clock_, derive()};
+    return victim->key;
+  }
+
+ private:
+  static constexpr std::size_t kWays = 4;
+  static constexpr std::size_t kSets = RealCrypto::kPairCacheSlots / kWays;
+
+  struct Way {
+    std::uint64_t provider = 0;
+    std::uint64_t pair = 0;
+    std::uint64_t used = 0;
+    HmacKey key;
+  };
+
+  Way ways_[kSets][kWays];
+  std::uint64_t clock_ = 0;
+};
+
+constinit thread_local PairKeyCache pair_keys;
+
 }  // namespace
+
+RealCrypto::RealCrypto(KeyStore keys)
+    : keys_(std::move(keys)),
+      id_(next_provider_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Digest RealCrypto::digest(ByteSpan data) const { return Sha256::hash(data); }
 
 Mac RealCrypto::mac(KeyNodeId sender, KeyNodeId receiver,
                     ByteSpan data) const {
-  return hmac_mac(keys_.key_for(sender, receiver), data);
+  if (sender > receiver) std::swap(sender, receiver);
+  const std::uint64_t pair = (std::uint64_t{sender} << 32) | receiver;
+  const HmacKey key = pair_keys.get(
+      id_, pair, [&] { return HmacKey(keys_.key_for(sender, receiver)); });
+  return hmac_mac(key, data);
 }
 
 Digest NullCrypto::digest(ByteSpan data) const {

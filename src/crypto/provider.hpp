@@ -34,15 +34,28 @@ class CryptoProvider {
   }
 };
 
+/// MACs start from per-pair HMAC midstates (HmacKey) that each thread keeps
+/// in a small fixed-size cache of its own, keyed by (provider, unordered
+/// pair). A miss derives the pair key through KeyStore::key_for; a hit
+/// copies the midstates out. The MAC path takes no lock and writes no
+/// shared memory, and the cache stays the same size however many peers a
+/// thread talks to.
 class RealCrypto final : public CryptoProvider {
  public:
-  explicit RealCrypto(KeyStore keys) : keys_(std::move(keys)) {}
+  /// Pair keys each thread keeps derived, across all providers.
+  static constexpr std::size_t kPairCacheSlots = 64;
+
+  explicit RealCrypto(KeyStore keys);
 
   Digest digest(ByteSpan data) const override;
   Mac mac(KeyNodeId sender, KeyNodeId receiver, ByteSpan data) const override;
 
  private:
   KeyStore keys_;
+  /// Names this key store in the per-thread caches. Drawn from a
+  /// process-wide counter and never reused, so a provider built where a
+  /// destroyed one lived never sees the old one's keys.
+  std::uint64_t id_;
 };
 
 class NullCrypto final : public CryptoProvider {

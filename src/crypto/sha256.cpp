@@ -1,31 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <cassert>
 #include <cstring>
+
+#include "crypto/sha256_compress.hpp"
 
 namespace copbft::crypto {
 namespace {
-
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline std::uint32_t rotr(std::uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
-}
-
-inline std::uint32_t load32_be(const Byte* p) {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
 
 inline void store32_be(Byte* p, std::uint32_t v) {
   p[0] = static_cast<Byte>(v >> 24);
@@ -35,6 +16,12 @@ inline void store32_be(Byte* p, std::uint32_t v) {
 }
 
 }  // namespace
+
+Sha256::Sha256(const Sha256Midstate& mid)
+    : total_bytes_(mid.length), buffered_(0) {
+  assert(mid.length % sizeof buffer_ == 0);
+  std::memcpy(state_, mid.h.data(), sizeof state_);
+}
 
 void Sha256::reset() {
   state_[0] = 0x6a09e667;
@@ -49,48 +36,16 @@ void Sha256::reset() {
   buffered_ = 0;
 }
 
-void Sha256::compress(const Byte block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load32_be(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+Sha256Midstate Sha256::midstate() const {
+  assert(buffered_ == 0);
+  Sha256Midstate mid;
+  std::memcpy(mid.h.data(), state_, sizeof state_);
+  mid.length = total_bytes_;
+  return mid;
 }
 
 void Sha256::update(ByteSpan data) {
+  const detail::CompressFn compress = detail::active_compress();
   total_bytes_ += data.size();
   const Byte* p = data.data();
   std::size_t n = data.size();
@@ -102,14 +57,14 @@ void Sha256::update(ByteSpan data) {
     p += take;
     n -= take;
     if (buffered_ == sizeof buffer_) {
-      compress(buffer_);
+      compress(state_, buffer_, 1);
       buffered_ = 0;
     }
   }
-  while (n >= 64) {
-    compress(p);
-    p += 64;
-    n -= 64;
+  if (n >= 64) {
+    compress(state_, p, n / 64);
+    p += n & ~std::size_t{63};
+    n &= 63;
   }
   if (n > 0) {
     std::memcpy(buffer_, p, n);
