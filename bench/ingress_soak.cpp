@@ -122,10 +122,10 @@ struct Cell {
   std::uint64_t resend_us;
   /// Offered rate in ops/s; 0 = unconstrained closed loop. The nominal
   /// cells compare the two fleet shapes at the same offered rate, chosen
-  /// below this single-core host's saturation point — uncapped, the
-  /// comparison measures loopback syscall cost (10,000 thin sockets vs
-  /// 16 deep ones), not the ingress. The overload cell stays uncapped:
-  /// it exists to exceed capacity.
+  /// below the cluster's saturation point — uncapped, the comparison
+  /// measures loopback syscall cost (10,000 thin sockets vs 16 deep
+  /// ones), not the ingress. The overload cell stays uncapped: it exists
+  /// to exceed capacity.
   std::uint64_t rate_ops;
   bool expect_sheds;
 };

@@ -172,10 +172,8 @@ int main() {
   std::printf("# micro_exec — execution-stage throughput, %u producer "
               "pillars, real HMAC reply sealing\n",
               kPillars);
-  std::printf("# on a 1-core host the offloaded mode pays hand-off cost "
-              "without gaining parallelism;\n"
-              "# the multi-core win is the simulator's to show (fig5a, "
-              "docs/performance.md)\n");
+  std::printf("# host has %u hardware threads\n",
+              std::thread::hardware_concurrency());
   std::printf("# metrics registry: %s (rebuild with -DCOP_ENABLE_METRICS=OFF "
               "to compare)\n",
               COP_METRICS_ENABLED ? "ON" : "OFF");

@@ -5,12 +5,6 @@
 // are totally ordered like writes and executed in the single service
 // thread — exactly the configuration the paper benchmarks in Figure 7.
 //
-// Deliberately NOT sharded for parallel execution: every operation walks
-// the hierarchy (parent checks, child listings), so the inherited
-// conservative Service::classify() — everything kGlobal — is the correct
-// classification, and the execution stage runs this service strictly
-// sequentially even when a worker pool is configured.
-//
 // Operation encoding:
 //   request : [op u8 | path bytes | data bytes]
 //   reply   : [status u8 | version u32 | payload bytes]

@@ -46,17 +46,6 @@ std::optional<KvResult> KvResult::decode(ByteSpan payload) {
   return res;
 }
 
-std::uint32_t KvStore::shard_of(const std::string& key) const {
-  // FNV-1a: deterministic across replicas and processes (std::hash is
-  // not guaranteed stable, and shard placement feeds classify()).
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::uint32_t>(h % shards_.size());
-}
-
 crypto::Digest KvStore::entry_digest(const std::string& key,
                                      ByteSpan value) const {
   Bytes buf;
@@ -74,64 +63,44 @@ void KvStore::xor_into(crypto::Digest& acc, const crypto::Digest& d) {
 void KvStore::assert_quiescent(const char* op) const {
   COP_INVARIANT(active_execs_.load(std::memory_order_acquire) == 0,
                 "KvStore::%s needs a quiescent point but %lld execute() "
-                "calls are in flight — the execution stage must drain its "
-                "worker pool before checkpointing",
+                "calls are in flight",
                 op,
                 static_cast<long long>(
                     active_execs_.load(std::memory_order_acquire)));
 }
 
-AccessClass KvStore::classify(const protocol::Request& request) const {
-  auto op = KvOp::decode(request.payload);
-  // Undecodable requests execute to kBadRequest without touching state,
-  // but the conservative default costs nothing on a path this rare.
-  if (!op) return AccessClass::global();
-  return AccessClass::sharded(shard_of(op->key), op->op != KvOpCode::kGet);
-}
-
 crypto::Digest KvStore::state_digest() const {
   assert_quiescent("state_digest");
-  crypto::Digest out;
-  for (const Shard& s : shards_) xor_into(out, s.digest);
-  return out;
-}
-
-std::size_t KvStore::size() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) n += s.data.size();
-  return n;
+  return digest_;
 }
 
 Bytes KvStore::execute(const protocol::Request& request) {
   ExecutionScope in_flight(*this);
   auto op = KvOp::decode(request.payload);
   if (!op) return KvResult{KvStatus::kBadRequest, {}}.encode();
-  Shard& shard = shards_[shard_of(op->key)];
 
   switch (op->op) {
     case KvOpCode::kGet: {
-      auto it = shard.data.find(op->key);
-      if (it == shard.data.end())
-        return KvResult{KvStatus::kNotFound, {}}.encode();
+      auto it = data_.find(op->key);
+      if (it == data_.end()) return KvResult{KvStatus::kNotFound, {}}.encode();
       return KvResult{KvStatus::kOk, it->second}.encode();
     }
     case KvOpCode::kPut: {
-      auto it = shard.data.find(op->key);
-      if (it != shard.data.end()) {
-        xor_into(shard.digest, entry_digest(op->key, it->second));
+      auto it = data_.find(op->key);
+      if (it != data_.end()) {
+        xor_into(digest_, entry_digest(op->key, it->second));
         it->second = op->value;
       } else {
-        shard.data.emplace(op->key, op->value);
+        data_.emplace(op->key, op->value);
       }
-      xor_into(shard.digest, entry_digest(op->key, op->value));
+      xor_into(digest_, entry_digest(op->key, op->value));
       return KvResult{KvStatus::kOk, {}}.encode();
     }
     case KvOpCode::kDelete: {
-      auto it = shard.data.find(op->key);
-      if (it == shard.data.end())
-        return KvResult{KvStatus::kNotFound, {}}.encode();
-      xor_into(shard.digest, entry_digest(op->key, it->second));
-      shard.data.erase(it);
+      auto it = data_.find(op->key);
+      if (it == data_.end()) return KvResult{KvStatus::kNotFound, {}}.encode();
+      xor_into(digest_, entry_digest(op->key, it->second));
+      data_.erase(it);
       return KvResult{KvStatus::kOk, {}}.encode();
     }
   }
@@ -141,9 +110,8 @@ Bytes KvStore::execute(const protocol::Request& request) {
 Bytes KvStore::snapshot() const {
   assert_quiescent("snapshot");
   std::vector<const std::pair<const std::string, Bytes>*> entries;
-  entries.reserve(size());
-  for (const Shard& s : shards_)
-    for (const auto& entry : s.data) entries.push_back(&entry);
+  entries.reserve(data_.size());
+  for (const auto& entry : data_) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
 
@@ -164,23 +132,21 @@ bool KvStore::restore(ByteSpan snapshot, const crypto::Digest& expect) {
   // Each entry occupies >= 8 bytes (two length prefixes); bound allocation.
   if (!r.ok() || r.remaining() / 8 < n) return false;
 
-  std::vector<Shard> shards(shards_.size());
+  std::unordered_map<std::string, Bytes> data;
   crypto::Digest digest;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string key = to_string(r.bytes());
     Bytes value = r.bytes();
     if (!r.ok()) return false;
-    Shard& shard = shards[shard_of(key)];
-    auto [it, inserted] = shard.data.emplace(std::move(key), std::move(value));
+    auto [it, inserted] = data.emplace(std::move(key), std::move(value));
     if (!inserted) return false;  // duplicate key: not a valid state
-    const crypto::Digest e = entry_digest(it->first, it->second);
-    xor_into(shard.digest, e);
-    xor_into(digest, e);
+    xor_into(digest, entry_digest(it->first, it->second));
   }
   if (!r.at_end()) return false;
   if (digest != expect) return false;
 
-  shards_ = std::move(shards);
+  data_ = std::move(data);
+  digest_ = digest;
   return true;
 }
 

@@ -4,23 +4,14 @@
 //   request : [op u8 | key bytes | value bytes]
 //   reply   : [status u8 | value bytes]
 //
-// Sharded for parallel execution: the key space is partitioned into
-// `num_shards` independent maps, each with its own XOR-of-entries digest.
-// classify() routes every operation to the shard owning its key, so the
-// execution stage may run operations on distinct shards concurrently —
-// execute() is safe to call from multiple workers as long as calls are
-// serialized *per shard*, which is exactly the Service::classify()
-// contract. The global state digest is the XOR of the per-shard digests
-// (order-independent, so its value is identical to the unsharded
-// implementation), and snapshot() still emits the canonical globally
-// key-sorted encoding: shard count is a private scheduling detail, not
-// replicated state, and replicas with different shard counts agree.
+// The state digest is the XOR of one digest per live entry: it does not
+// depend on insertion or iteration order, and each mutation updates it in
+// O(1).
 #pragma once
 
 #include <atomic>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "app/service.hpp"
 
@@ -48,17 +39,12 @@ struct KvResult {
 
 class KvStore final : public Service {
  public:
-  static constexpr std::uint32_t kDefaultShards = 16;
-
-  explicit KvStore(const crypto::CryptoProvider& crypto,
-                   std::uint32_t num_shards = kDefaultShards)
-      : crypto_(crypto), shards_(num_shards ? num_shards : 1) {}
+  explicit KvStore(const crypto::CryptoProvider& crypto) : crypto_(crypto) {}
 
   Bytes execute(const protocol::Request& request) override;
-  /// XOR of the per-shard digests. Quiescent-point only (asserted): must
-  /// not race an in-flight execute() — the checkpoint drain guarantees it.
+  /// Quiescent-point only (asserted): must not run while an execute() is
+  /// in flight.
   crypto::Digest state_digest() const override;
-  AccessClass classify(const protocol::Request& request) const override;
   bool pre_validate(const protocol::Request& request) override {
     return KvOp::decode(request.payload).has_value();
   }
@@ -68,21 +54,17 @@ class KvStore final : public Service {
   Bytes snapshot() const override;
   bool restore(ByteSpan snapshot, const crypto::Digest& expect) override;
 
-  std::size_t size() const;
-  std::uint32_t num_shards() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
+  std::size_t size() const { return data_.size(); }
   /// Direct read access for tests / state comparison.
   const Bytes* lookup(const std::string& key) const {
-    const Shard& s = shards_[shard_of(key)];
-    auto it = s.data.find(key);
-    return it == s.data.end() ? nullptr : &it->second;
+    auto it = data_.find(key);
+    return it == data_.end() ? nullptr : &it->second;
   }
 
   /// RAII token marking one execution in flight; execute() enters one
-  /// itself. snapshot()/state_digest() assert none are live — the
-  /// explicit quiescent point the checkpoint drain must establish (and a
-  /// deterministic handle for tests to make the invariant fire).
+  /// itself. snapshot()/state_digest() assert none are live, so a
+  /// checkpoint can never hash or copy state mid-mutation (and tests get a
+  /// deterministic handle to make the invariant fire).
   class ExecutionScope {
    public:
     explicit ExecutionScope(const KvStore& store) : store_(store) {
@@ -101,23 +83,14 @@ class KvStore final : public Service {
  private:
   friend class ExecutionScope;
 
-  // One independent partition of the key space. The digest is the XOR of
-  // one digest per live entry, so it is order-independent and
-  // maintainable in O(1) per mutation; shard digests XOR into the global
-  // digest the same way.
-  struct Shard {
-    std::unordered_map<std::string, Bytes> data;
-    crypto::Digest digest;
-  };
-
-  std::uint32_t shard_of(const std::string& key) const;
   crypto::Digest entry_digest(const std::string& key, ByteSpan value) const;
   static void xor_into(crypto::Digest& acc, const crypto::Digest& d);
   void assert_quiescent(const char* op) const;
 
   const crypto::CryptoProvider& crypto_;
-  std::vector<Shard> shards_;
-  /// Number of execute() calls in flight, across all shards.
+  std::unordered_map<std::string, Bytes> data_;
+  crypto::Digest digest_;
+  /// Number of execute() calls in flight.
   mutable std::atomic<std::int64_t> active_execs_{0};
 };
 

@@ -3,16 +3,10 @@
 // calculations but answers totally ordered requests with replies of
 // configurable size" (§5.1).
 //
-// Sharded so the parallel-execution benchmarks exercise the worker pool:
-// the only state is per-shard bookkeeping (execution count + last key),
-// each request touches exactly the shard its key hashes to, and the
-// digest folds the shards in index order. Because the per-shard values
-// depend only on the shard's own FIFO subsequence, any conflict-respecting
-// parallel schedule reproduces the sequential digest exactly.
+// Its only state is the execution count and the key of the last request,
+// enough for checkpoint digests and state transfer to have something to
+// agree on.
 #pragma once
-
-#include <algorithm>
-#include <vector>
 
 #include "app/service.hpp"
 
@@ -20,98 +14,66 @@ namespace copbft::app {
 
 class NullService final : public Service {
  public:
-  static constexpr std::uint32_t kNumShards = 16;
-
   explicit NullService(std::size_t reply_size = 0)
-      : reply_(reply_size, Byte{0xab}), shards_(kNumShards) {}
+      : reply_(reply_size, Byte{0xab}) {}
 
   Bytes execute(const protocol::Request& request) override {
-    ShardState& s = shards_[shard_of(request)];
-    ++s.executed;
-    s.last_key = request.key();
+    ++executed_;
+    last_key_ = request.key();
     return reply_;
   }
 
-  AccessClass classify(const protocol::Request& request) const override {
-    return AccessClass::sharded(shard_of(request), /*write=*/true);
-  }
-
   crypto::Digest state_digest() const override {
-    // State is per-shard (count, last key); fold it directly (FNV-1a) —
-    // cheap, and identical across replicas that executed the same
-    // per-shard subsequences.
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ULL;
-      }
-    };
-    for (const ShardState& s : shards_) {
-      mix(s.executed);
-      mix(s.last_key);
-    }
-    crypto::Digest d;
-    for (int i = 0; i < 8; ++i)
-      d.bytes[static_cast<std::size_t>(i)] = static_cast<Byte>(h >> (8 * i));
-    return d;
+    return digest_of(executed_, last_key_);
   }
 
-  std::uint64_t executed() const {
-    std::uint64_t n = 0;
-    for (const ShardState& s : shards_) n += s.executed;
-    return n;
-  }
+  std::uint64_t executed() const { return executed_; }
 
+  /// [executed u64 LE | last key u64 LE].
   Bytes snapshot() const override {
-    Bytes out(16 * shards_.size());
-    std::size_t at = 0;
-    for (const ShardState& s : shards_) {
-      for (int i = 0; i < 8; ++i)
-        out[at++] = static_cast<Byte>(s.executed >> (8 * i));
-      for (int i = 0; i < 8; ++i)
-        out[at++] = static_cast<Byte>(s.last_key >> (8 * i));
+    Bytes out(16);
+    for (std::size_t i = 0; i < 8; ++i) {
+      out[i] = static_cast<Byte>(executed_ >> (8 * i));
+      out[8 + i] = static_cast<Byte>(last_key_ >> (8 * i));
     }
     return out;
   }
 
   bool restore(ByteSpan snapshot, const crypto::Digest& expect) override {
-    if (snapshot.size() != 16 * shards_.size()) return false;
-    std::vector<ShardState> shards(shards_.size());
-    std::size_t at = 0;
-    for (ShardState& s : shards) {
-      s.executed = 0;
-      s.last_key = 0;
-      for (int i = 0; i < 8; ++i)
-        s.executed |=
-            static_cast<std::uint64_t>(snapshot[at++]) << (8 * i);
-      for (int i = 0; i < 8; ++i)
-        s.last_key |=
-            static_cast<std::uint64_t>(snapshot[at++]) << (8 * i);
+    if (snapshot.size() != 16) return false;
+    std::uint64_t executed = 0;
+    std::uint64_t last_key = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      executed |= static_cast<std::uint64_t>(snapshot[i]) << (8 * i);
+      last_key |= static_cast<std::uint64_t>(snapshot[8 + i]) << (8 * i);
     }
-    // Verify against the digest before swapping, so a bad snapshot never
-    // leaves partial state behind.
-    std::vector<ShardState> saved = std::move(shards_);
-    shards_ = std::move(shards);
-    if (state_digest() != expect) {
-      shards_ = std::move(saved);
-      return false;
-    }
+    if (digest_of(executed, last_key) != expect) return false;
+    executed_ = executed;
+    last_key_ = last_key;
     return true;
   }
 
  private:
-  struct ShardState {
-    std::uint64_t executed = 0;
-    std::uint64_t last_key = 0;
-  };
-
-  std::uint32_t shard_of(const protocol::Request& request) const {
-    return static_cast<std::uint32_t>(request.key() % shards_.size());
+  /// FNV-1a over (count, last key): cheap, and identical across replicas
+  /// that executed the same sequence.
+  static crypto::Digest digest_of(std::uint64_t executed,
+                                  std::uint64_t last_key) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint64_t v : {executed, last_key}) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    }
+    crypto::Digest d;
+    for (std::size_t i = 0; i < 8; ++i)
+      d.bytes[i] = static_cast<Byte>(h >> (8 * i));
+    return d;
   }
 
   Bytes reply_;
-  std::vector<ShardState> shards_;
+  std::uint64_t executed_ = 0;
+  std::uint64_t last_key_ = 0;
 };
 
 }  // namespace copbft::app

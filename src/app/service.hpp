@@ -17,56 +17,27 @@
 
 namespace copbft::app {
 
-/// Conflict classification of one ordered request (parallel execution of
-/// non-conflicting requests — the P-SMR playbook: classify by read/write
-/// key set after ordering, parallelize independence, serialize conflicts).
-///
-/// `kGlobal` means the request may read or write arbitrary state: the
-/// execution stage runs it alone, as a barrier that drains the worker
-/// pool first. `kShard` names the single state shard the request touches;
-/// requests on distinct shards commute and may execute concurrently,
-/// while same-shard requests keep their total-order FIFO. A request that
-/// touches more than one shard must classify as kGlobal — correctness
-/// never depends on a service classifying precisely, only on it never
-/// under-classifying (claiming a shard it escapes).
+/// Result type of Service::classify, which nothing in the replica calls.
 struct AccessClass {
-  enum class Scope : std::uint8_t { kGlobal, kShard };
-  Scope scope = Scope::kGlobal;
-  std::uint32_t shard = 0;  ///< valid iff scope == kShard
-  bool write = true;        ///< read/write bit of the key set (conservative)
-
   static AccessClass global() { return {}; }
-  static AccessClass sharded(std::uint32_t shard, bool write) {
-    return AccessClass{Scope::kShard, shard, write};
-  }
 };
 
 class Service {
  public:
   virtual ~Service() = default;
 
-  /// Executes one ordered request; returns the reply payload.
-  ///
-  /// Thread contract: calls are serialized per shard. Two concurrent
-  /// calls only ever happen for requests this service classified onto
-  /// *different* shards (see classify()); a kGlobal request is never
-  /// concurrent with anything.
+  /// Executes one ordered request; returns the reply payload. Calls come
+  /// from the execution stage thread alone, one at a time.
   virtual Bytes execute(const protocol::Request& request) = 0;
 
-  /// Tags a request with the state it may touch (read/write key set,
-  /// collapsed to a shard id). Runs on the execution stage thread, in
-  /// total order, before dispatch; must be deterministic and cheap. The
-  /// default — every request is global — is the conservative fallback
-  /// that keeps unknown services (CoordinationService, baselines)
-  /// strictly sequential.
+  /// Nothing in the replica calls this; kept for existing overrides.
   virtual AccessClass classify(const protocol::Request&) const {
     return AccessClass::global();
   }
 
   /// Incrementally maintained digest over the full service state. Called
-  /// only at a quiescent point: the execution stage drains every
-  /// outstanding worker before checkpointing, so no execute() is in
-  /// flight (sharded services may assert this — see KvStore).
+  /// on the execution stage thread between two execute() calls, never
+  /// while one is running (KvStore asserts this).
   virtual crypto::Digest state_digest() const = 0;
 
   /// Offloaded pre-execution (parse/validate), run in the pillar before

@@ -213,8 +213,6 @@ ExecutionStage::ExecutionStage(ReplicaId self,
           exec_metric(self, "replies_sent"))),
       m_execute_us_(metrics::MetricsRegistry::global().histogram(
           exec_metric(self, "execute_us"))) {
-  if (config.exec_workers > 0)
-    pool_ = std::make_unique<ExecPool>(config.exec_workers, service_);
   // Commit admission no longer queues; the instrumented queue is the
   // (rare) state-transfer install lane.
   install_queue_.instrument(
@@ -224,7 +222,6 @@ ExecutionStage::ExecutionStage(ReplicaId self,
 }
 
 void ExecutionStage::start() {
-  if (pool_) pool_->start();
   thread_ = named_thread("exec", [this] { run(); });
 }
 
@@ -233,9 +230,6 @@ void ExecutionStage::stop() {
   install_queue_.close();
   wake_exec();
   if (thread_.joinable()) thread_.join();
-  // The stage thread drained pending_ before exiting (apply_ready always
-  // leaves the pool quiescent), so the workers stop idle.
-  if (pool_) pool_->stop();
 }
 
 bool ExecutionStage::submit_install(InstallState install) {
@@ -252,8 +246,6 @@ ExecutionStats ExecutionStage::stats() const {
   // (e.g. the matching reply omission — tests sum both).
   out.requests_executed = n_requests_executed_.get();
   out.last_executed_seq = n_last_executed_seq_.get();
-  out.requests_parallel = n_requests_parallel_.get();
-  out.exec_barriers = n_exec_barriers_.get();
   out.batches_executed = n_batches_executed_.get();
   out.noops_executed = n_noops_executed_.get();
   out.duplicates_suppressed = n_duplicates_suppressed_.get();
@@ -441,10 +433,6 @@ COP_HOT void ExecutionStage::apply_ready() {
     // frontier can immediately reuse it.
     next_seq_.store(next + 1, std::memory_order_seq_cst);
   }
-  // Quiescent before parking (or stopping): every dispatched request is
-  // retired and its reply emitted, so outside a ready streak the parallel
-  // stage is observationally indistinguishable from the sequential one.
-  drain_pool();
 }
 
 COP_HOT void ExecutionStage::execute_batch(const CommittedBatch& batch) {
@@ -484,10 +472,9 @@ void ExecutionStage::record_executed(ClientState& state,
   }
 }
 
-COP_HOT void ExecutionStage::execute_request(
-    const protocol::Request& request,
-                                     const CommittedBatch& batch,
-                                     std::uint32_t index) {
+COP_HOT void ExecutionStage::execute_request(const protocol::Request& request,
+                                             const CommittedBatch& batch,
+                                             std::uint32_t index) {
   ClientState& state = clients_[request.client];
   if (already_executed(state, request.id)) {
     n_duplicates_suppressed_.add();
@@ -496,16 +483,6 @@ COP_HOT void ExecutionStage::execute_request(
     // retransmission skips it — null `requests` signals that downstream).
     auto cached = state.replies.find(request.id);
     if (cached == state.replies.end()) return;
-    if (cached->second.pending_ticket != 0) {
-      // The original is dispatched but not yet retired (the in-flight
-      // retransmission race): force in-order retirement up to it, so the
-      // resend carries the executed result and the original (pillar, seq)
-      // stamp — never a second, differently-stamped reply. Re-find after
-      // retiring: retirement inserts nothing, but stay rehash-safe.
-      retire_until(cached->second.pending_ticket);
-      cached = state.replies.find(request.id);
-      if (cached == state.replies.end()) return;
-    }
     ReplyTask task;
     task.client = request.client;
     task.request = request.id;
@@ -514,84 +491,14 @@ COP_HOT void ExecutionStage::execute_request(
     task.pillar = static_cast<std::uint32_t>(cached->second.seq %
                                              config_.num_pillars);
     task.result = cached->second.result;  // the cache keeps its entry
-    if (pending_.empty()) {
-      emit_reply(std::move(task));
-    } else {
-      // Keep the reply stream in total order: earlier requests are still
-      // awaiting retirement, so the resend queues behind them instead of
-      // overtaking.
-      PendingRetire p;
-      p.ticket = next_ticket_++;
-      p.resend = true;
-      p.task = std::move(task);
-      pending_.push_back(std::move(p));
-    }
+    emit_reply(std::move(task));
     return;
-  }
-
-  if (pool_) {
-    const app::AccessClass access = service_.classify(request);
-    if (access.scope == app::AccessClass::Scope::kShard) {
-      dispatch_request(request, batch, index, access.shard);
-      return;
-    }
-    // kGlobal: barrier — the request may touch anything, so nothing may
-    // be in flight while it runs.
-    n_exec_barriers_.add();
-    drain_pool();
   }
 
   Bytes result = service_.execute(request);
   m_requests_executed_.add();
   record_executed(state, request.id);
-  finish_request(state, request, batch, index, std::move(result));
-}
 
-COP_HOT void ExecutionStage::dispatch_request(const protocol::Request& request,
-                                              const CommittedBatch& batch,
-                                              std::uint32_t index,
-                                              std::uint32_t shard) {
-  const std::uint32_t worker = pool_->worker_of(shard);
-  // The stage is the only party that frees ring slots (by retiring), so a
-  // full ring is resolved here, never by spinning inside the pool.
-  while (!pool_->can_dispatch(worker)) retire_front();
-
-  ClientState& state = clients_[request.client];
-  // Dedup and cache placement happen at dispatch — this request's
-  // total-order position — exactly where sequential execution would do
-  // them. The cache entry stays pending until retirement fills it.
-  record_executed(state, request.id);
-  const std::uint64_t ticket = next_ticket_++;
-  if (state.replies
-          .emplace(request.id, CachedReply{batch.seq, Bytes(), ticket})
-          .second) {
-    state.reply_order.push_back(request.id);
-    if (state.reply_order.size() > kReplyCachePerClient) {
-      state.replies.erase(state.reply_order.front());
-      state.reply_order.pop_front();
-    }
-  }
-
-  PendingRetire p;
-  p.ticket = ticket;
-  p.worker = worker;
-  p.slot = pool_->dispatch(worker, &(*batch.requests)[index]);
-  p.omit = config_.reply_mode == ReplyMode::kOmitOne &&
-           config_.omitted_replier(request.key()) == self_;
-  p.task.client = request.client;
-  p.task.request = request.id;
-  p.task.view = batch.view;
-  p.task.pillar = batch.pillar;
-  p.task.seq = batch.seq;
-  p.task.requests = batch.requests;
-  p.task.index = index;
-  pending_.push_back(std::move(p));
-}
-
-void ExecutionStage::finish_request(ClientState& state,
-                                    const protocol::Request& request,
-                                    const CommittedBatch& batch,
-                                    std::uint32_t index, Bytes result) {
   // The cache stores the *raw* ordered result for every request: it is
   // replicated state (part of the checkpoint digest), so it must not
   // depend on this replica's omit role or on post_process decoration.
@@ -624,45 +531,6 @@ void ExecutionStage::finish_request(ClientState& state,
   emit_reply(std::move(task));
 }
 
-COP_HOT void ExecutionStage::retire_front() {
-  PendingRetire p = std::move(pending_.front());
-  pending_.pop_front();
-  if (p.resend) {
-    emit_reply(std::move(p.task));
-    return;
-  }
-  Bytes result = pool_->retire(p.worker, p.slot);
-  m_requests_executed_.add();
-  n_requests_parallel_.add();
-
-  // Fill the pending cache entry (unless a busy client already evicted
-  // it — sequential execution would have evicted it identically).
-  auto client = clients_.find(p.task.client);
-  if (client != clients_.end()) {
-    auto cached = client->second.replies.find(p.task.request);
-    if (cached != client->second.replies.end() &&
-        cached->second.pending_ticket == p.ticket) {
-      cached->second.result = result;
-      cached->second.pending_ticket = 0;
-    }
-  }
-
-  if (p.omit) n_replies_omitted_.add();
-  n_requests_executed_.add();
-  if (p.omit) return;
-  p.task.result = std::move(result);
-  emit_reply(std::move(p.task));
-}
-
-void ExecutionStage::retire_until(std::uint64_t ticket) {
-  while (!pending_.empty() && pending_.front().ticket <= ticket)
-    retire_front();
-}
-
-void ExecutionStage::drain_pool() {
-  while (!pending_.empty()) retire_front();
-}
-
 COP_HOT void ExecutionStage::emit_reply(ReplyTask task) {
   // Counted at emission — offloaded or inline — so exec.replies_sent
   // covers every reply exactly once wherever it is sealed.
@@ -692,13 +560,6 @@ COP_HOT void ExecutionStage::emit_reply(ReplyTask task) {
 
 void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {
   if (seq % config_.protocol.checkpoint_interval != 0) return;
-  // Quiescent point for the hash: state_digest()/snapshot() may only run
-  // with no execute() in flight, so everything dispatched before this
-  // boundary retires first (which also clears every pending_ticket).
-  drain_pool();
-  COP_INVARIANT(pending_.empty(),
-                "checkpoint at seq %llu with %zu unretired executions",
-                static_cast<unsigned long long>(seq), pending_.size());
   n_checkpoints_triggered_.add();
   // The agreed checkpoint digest covers the service state *and* the
   // exactly-once client bookkeeping: both are part of what a transferred
@@ -790,10 +651,6 @@ bool ExecutionStage::decode_client_table(
 }
 
 void ExecutionStage::handle_install(InstallState install) {
-  // Installs replace service state wholesale (restore() requires a
-  // quiescent service) and rewrite the client table the pending entries
-  // would retire into — finish all in-flight execution first.
-  drain_pool();
   const auto reject = [&] {
     n_installs_rejected_.add();
     if (install.done) install.done(false);

@@ -27,22 +27,11 @@
 //     with concurrent pillar writers: the frontier moves first, stragglers
 //     self-heal their slots).
 //
-// Parallel execution (exec_workers > 0): the stage thread stops invoking
-// Service::execute itself for requests the service classifies onto a
-// shard (Service::classify). It dispatches them — still in total order —
-// to a fixed pool of workers over per-worker SPSC rings (ExecPool), with
-// per-shard FIFO by the fixed shard->worker mapping, and retires results
-// in dispatch order, at which point all client-visible bookkeeping
-// (dedup, reply cache, reply emission) happens exactly as it would have
-// sequentially. kGlobal requests are barriers: drain the pool, run
-// inline. Checkpoints and installs drain first too, so Service::
-// snapshot()/state_digest() always see a quiescent service.
-//
 // The commit hot path is lock-free end to end: slot publication is an
 // atomic state machine, counters are single-writer atomics (or relaxed
 // fetch_add where pillars share them), and the only locks left are the
-// stage wake-up latch, the per-pillar checkpoint mailboxes and the worker
-// pool's park latches — all off the per-commit path.
+// stage wake-up latch and the per-pillar checkpoint mailboxes — both off
+// the per-commit path.
 #pragma once
 
 #include <atomic>
@@ -59,7 +48,6 @@
 #include "common/queue.hpp"
 #include "common/threading.hpp"
 #include "core/events.hpp"
-#include "core/exec_pool.hpp"
 #include "core/runtime_config.hpp"
 
 namespace copbft::core {
@@ -73,12 +61,6 @@ struct ExecutionStats {
   /// Of replies_sent: how many were handed to a pillar (vs. sealed inline).
   std::uint64_t replies_offloaded = 0;
   std::uint64_t replies_omitted = 0;
-  /// Of requests_executed: how many ran on the execution worker pool
-  /// (parallel path). Zero when exec_workers == 0.
-  std::uint64_t requests_parallel = 0;
-  /// Requests classified kGlobal while a pool was active: each drained
-  /// the pool (barrier) and ran inline on the stage thread.
-  std::uint64_t exec_barriers = 0;
   std::uint64_t checkpoints_triggered = 0;
   /// Pillar-side gap-fill timeouts: each pillar polls its own stall timer,
   /// so NP pillars observing one stall count NP fills (one per slice).
@@ -184,11 +166,6 @@ class ExecutionStage {
   struct CachedReply {
     protocol::SeqNum seq = 0;  ///< instance the request executed in
     Bytes result;              ///< raw ordered result (pre-post_process)
-    /// Non-zero while the request is dispatched to a worker but not yet
-    /// retired: the ticket to force-retire up to before this entry's
-    /// result may be resent (the in-flight retransmission race). Always 0
-    /// at checkpoint boundaries — the stage drains before hashing.
-    std::uint64_t pending_ticket = 0;
   };
   struct ClientState {
     protocol::RequestId max_done = 0;
@@ -315,23 +292,6 @@ class ExecutionStage {
   void execute_batch(const CommittedBatch& batch);
   void execute_request(const protocol::Request& request,
                        const CommittedBatch& batch, std::uint32_t index);
-  /// Parallel-path bookkeeping (stage thread only). A request the service
-  /// classified onto a shard is dispatched to the worker pool and queued
-  /// on pending_; everything client-visible happens at retirement, in
-  /// ticket order == total order. Cached resends ride pending_ too, so
-  /// the reply stream is emitted in exactly the sequential order.
-  void dispatch_request(const protocol::Request& request,
-                        const CommittedBatch& batch, std::uint32_t index,
-                        std::uint32_t shard);
-  void finish_request(ClientState& state, const protocol::Request& request,
-                      const CommittedBatch& batch, std::uint32_t index,
-                      Bytes result);
-  void retire_front();
-  /// Retires pending entries up to and including `ticket`.
-  void retire_until(std::uint64_t ticket);
-  /// Barrier: retires everything outstanding; afterwards the service is
-  /// quiescent (no execute() in flight anywhere).
-  void drain_pool();
   /// Offloads the reply to its originating pillar, or — when no ReplyFn is
   /// installed or the pillar rejected it — post-processes, seals and sends
   /// inline.
@@ -367,23 +327,6 @@ class ExecutionStage {
   bool wake_pending_ COP_GUARDED_BY(wake_mutex_) = false;
   std::atomic<bool> stop_requested_{false};
 
-  // Parallel execution (exec_workers > 0). pool_ runs Service::execute on
-  // worker threads; pending_ is the stage-owned retirement FIFO — ticket
-  // order is dispatch order is total order. A `resend` entry carries a
-  // cached result instead of a worker slot, so retransmissions keep their
-  // place in the reply stream.
-  struct PendingRetire {
-    std::uint64_t ticket = 0;
-    std::uint32_t worker = 0;
-    std::uint32_t slot = 0;
-    bool resend = false;
-    bool omit = false;
-    ReplyTask task;  ///< result empty until retirement (except resends)
-  };
-  std::unique_ptr<ExecPool> pool_;
-  std::deque<PendingRetire> pending_;
-  std::uint64_t next_ticket_ = 1;
-
   // clients_ and installed_floor_ are owned by the stage thread.
   // COPLINT(allow:det-unordered-member: per-request access is keyed lookup; the one iteration (encode_client_table) sorts ids before serializing)
   std::unordered_map<protocol::ClientId, ClientState> clients_;
@@ -402,8 +345,6 @@ class ExecutionStage {
   // Counters: written only by the stage thread, snapshotted by stats().
   StageCounter n_batches_executed_;
   StageCounter n_requests_executed_;
-  StageCounter n_requests_parallel_;
-  StageCounter n_exec_barriers_;
   StageCounter n_noops_executed_;
   StageCounter n_duplicates_suppressed_;
   StageCounter n_replies_sent_;

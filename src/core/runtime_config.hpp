@@ -31,12 +31,6 @@ struct ReplicaRuntimeConfig {
   /// SMaRt: threads verifying incoming messages (out-of-order).
   std::uint32_t auth_threads = 2;
 
-  /// Execution worker pool: requests the service classifies onto a shard
-  /// (Service::classify) execute on this many worker threads, in parallel
-  /// across shards, FIFO within a shard. 0 = inline sequential execution
-  /// on the stage thread (the classic single-service-thread model).
-  std::uint32_t exec_workers = 0;
-
   /// Queue capacity for every inter-stage queue.
   std::size_t queue_capacity = 8192;
 

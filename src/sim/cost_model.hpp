@@ -69,15 +69,6 @@ struct CostModel {
   /// only per-reply work left in the stage after the §4.3.2 offload.
   double reply_task_ns = 90.0;
   double reply_build_ns = 280.0;
-  // Parallel execution (exec_workers > 0): the stage swaps the service
-  // invocation (exec_base_ns) for an SPSC dispatch plus an in-order
-  // retire; the worker pays the service cost plus its ring consume/
-  // publish overhead; one park/wake handshake per drained burst. Anchored
-  // on bench/micro_queue's SPSC figures scaled like the rest.
-  double exec_dispatch_ns = 70.0;  ///< publish job + slot bookkeeping
-  double exec_retire_ns = 45.0;    ///< take result + cache/emission fill
-  double exec_worker_ns = 60.0;    ///< worker-side ring overhead per job
-  double exec_wake_ns = 400.0;     ///< park/wake handshake per burst
 
   // ---- application ----
   /// Coordination service: tree lookup + version bump per operation.

@@ -79,7 +79,7 @@ void field(std::string& out, const char* key, bool value) {
 
 SimTime last_fault_clear_ns(const ScenarioSpec& spec) {
   SimTime clear = 0;
-  for (const SimConfig::FaultEvent& ev : spec.config.effective_faults()) {
+  for (const SimConfig::FaultEvent& ev : spec.config.faults) {
     using Kind = SimConfig::FaultEvent::Kind;
     if (ev.kind == Kind::kResume || ev.kind == Kind::kRecover)
       clear = std::max(clear, ev.at);
@@ -117,7 +117,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // Recovery: every fault-affected correct replica's execution frontier
   // must sit within 2 * window of the cluster frontier at the end.
   std::set<std::uint32_t> affected;
-  for (const SimConfig::FaultEvent& ev : spec.config.effective_faults())
+  for (const SimConfig::FaultEvent& ev : spec.config.faults)
     affected.insert(ev.replica);
   for (const PartitionSpec& p : spec.config.wan.partitions) {
     for (std::uint32_t r : p.a) affected.insert(r);
@@ -173,7 +173,7 @@ std::string scenario_json(const ScenarioSpec& spec, const ScenarioResult& r) {
   field(out, "measure_ns", static_cast<std::uint64_t>(cfg.measure));
   out += ',';
   field(out, "fault_events",
-        static_cast<std::uint64_t>(cfg.effective_faults().size()));
+        static_cast<std::uint64_t>(cfg.faults.size()));
   out += ',';
   field(out, "lane_stalls", static_cast<std::uint64_t>(cfg.lane_stalls.size()));
   out += ',';

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "app/null_service.hpp"
 #include "common/rng.hpp"
 #include "protocol/verifier.hpp"
 #include "sim/machine.hpp"
@@ -217,13 +216,6 @@ struct ExecSim {
   std::size_t reorder_peak = 0;
   std::uint64_t executed_requests = 0;
   std::uint64_t executed_instances = 0;
-  /// Parallel execution (exec_pool() > 0): requests run on the worker
-  /// threads; the stage only dispatches and retires.
-  std::vector<SimThread*> workers;
-  std::uint64_t executed_parallel = 0;
-  /// Virtual ns the stage spent waiting on its slowest worker (conflict
-  /// stalls: retirement is in order, so a lagging worker blocks it).
-  double stall_ns = 0;
 
   ExecSim(World& w, ReplicaSim& r, SimThread& t)
       : world(w), replica(r), thread(t) {}
@@ -285,11 +277,6 @@ struct ReplicaSim {
         client_mgrs.push_back(&machine.add_thread("cmgr-" + std::to_string(i)));
     }
     exec = std::make_unique<ExecSim>(w, *this, machine.add_thread("exec"));
-    // Execution worker pool (conflict-aware parallel execution): the
-    // workers occupy real machine contexts, so oversubscription and SMT
-    // interference are part of the measured trade-off.
-    for (std::uint32_t i = 0; i < cfg.exec_pool(); ++i)
-      exec->workers.push_back(&machine.add_thread("exwk-" + std::to_string(i)));
   }
 
   std::uint32_t lanes() const {
@@ -788,33 +775,6 @@ double ExecSim::apply_ready(
   const CostModel& costs = world.costs;
   double cost = 0;
 
-  // Parallel execution (threaded mirror: ExecPool). Per request the stage
-  // pays dispatch + retire instead of the service cost, which moves to
-  // the shard's worker (fixed shard -> worker mapping, like the threaded
-  // stage's worker_of). Workers run concurrently with the stage's own
-  // bookkeeping, so per drained burst the stage only stalls for
-  // max(0, slowest worker - its own overlapping work) — the conflict
-  // stall of in-order retirement.
-  const std::uint32_t pool = static_cast<std::uint32_t>(workers.size());
-  std::vector<double> worker_busy(pool, 0.0);
-  double settle_mark = 0;
-  const auto settle_workers = [&] {
-    if (pool == 0) return;
-    double slowest = 0;
-    for (std::uint32_t w = 0; w < pool; ++w) {
-      if (worker_busy[w] <= 0) continue;
-      const double busy = worker_busy[w] + costs.exec_wake_ns;
-      slowest = std::max(slowest, busy);
-      workers[w]->post([busy]() -> double { return busy; });
-      worker_busy[w] = 0;
-    }
-    const double overlap = cost - settle_mark;
-    const double stall = std::max(0.0, slowest - overlap);
-    stall_ns += stall;
-    cost += stall;
-    settle_mark = cost;
-  };
-
   while (true) {
     auto it = reorder.find(next_seq);
     if (it == reorder.end()) break;
@@ -836,22 +796,9 @@ double ExecSim::apply_ready(
     if (d.requests) {
       for (const Request& req : *d.requests) {
         ++executed_requests;
-        if (pool > 0) {
-          // Shard classification mirrors app::NullService: key % shards,
-          // then the fixed shard -> worker mapping. (The coordination
-          // service classifies everything global — exec_pool() is 0 for
-          // it, so this branch is never taken there.)
-          ++executed_parallel;
-          cost += costs.exec_dispatch_ns + costs.exec_retire_ns;
-          const std::uint32_t shard = static_cast<std::uint32_t>(
-              req.key() % app::NullService::kNumShards);
-          worker_busy[shard % pool] +=
-              costs.exec_base_ns + costs.exec_worker_ns;
-        } else {
-          cost += (cfg.service == SimService::kCoordination)
-                      ? costs.coord_op_ns
-                      : costs.exec_base_ns;
-        }
+        cost += (cfg.service == SimService::kCoordination)
+                    ? costs.coord_op_ns
+                    : costs.exec_base_ns;
         bool omit = cfg.reply_mode == core::ReplyMode::kOmitOne &&
                     req.key() % cfg.protocol.num_replicas == replica.id;
         if (!omit) {
@@ -875,9 +822,6 @@ double ExecSim::apply_ready(
     ++next_seq;
 
     if (seq % cfg.protocol.checkpoint_interval == 0) {
-      // Checkpoint hashing needs the quiescent point: every dispatched
-      // request retires first (the threaded stage's drain_pool()).
-      settle_workers();
       // The stage pays the digest; the StartCheckpoint signal is mailed
       // to the owning pillar, whose poll picks it up (the dequeue_ns in
       // start_checkpoint) — no exec-side hand-off anymore (§4.3.1).
@@ -889,11 +833,6 @@ double ExecSim::apply_ready(
           [unit, seq]() -> double { return unit->start_checkpoint(seq); });
     }
   }
-
-  // Quiescent before the stage parks: everything dispatched retired, all
-  // replies emitted — outside a ready streak the parallel stage is
-  // observationally the sequential one.
-  settle_workers();
   return cost;
 }
 
@@ -1095,8 +1034,8 @@ SimResult run_simulation(const SimConfig& config) {
                 end);
   }
 
-  // Fault timeline (includes the legacy pause triple via the compat shim).
-  for (const SimConfig::FaultEvent& ev : config.effective_faults()) {
+  // Fault timeline.
+  for (const SimConfig::FaultEvent& ev : config.faults) {
     World* w = &world;
     std::uint32_t r = ev.replica;
     auto kind = ev.kind;
@@ -1147,10 +1086,6 @@ SimResult run_simulation(const SimConfig& config) {
   result.follower_cpu_utilization =
       world.replicas[1]->machine.utilization(end);
   result.state_transfers = world.state_transfers;
-  result.cluster_next_seq = world.replicas[0]->exec->next_seq;
-  if (config.pause_replica < config.protocol.num_replicas)
-    result.laggard_next_seq =
-        world.replicas[config.pause_replica]->exec->next_seq;
   for (auto& replica : world.replicas) {
     result.replica_next_seq.push_back(replica->exec->next_seq);
     for (auto& unit : replica->logic) {

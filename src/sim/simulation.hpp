@@ -1,12 +1,13 @@
 // Cluster simulator: runs the COP / TOP / BFT-SMaRt replica architectures
 // over simulated multi-core machines and GbE adapters in virtual time.
 //
-// This is the reproduction vehicle for the paper's evaluation (§5): the
-// host running this repository has a single CPU core, so multi-core
-// scaling is reproduced by simulation. Protocol behaviour is NOT modelled
-// — each simulated logic unit drives a real protocol::PbftCore (the same
-// class the threaded runtime uses); only CPU time and network bytes are
-// accounted through sim::CostModel instead of being burned for real.
+// This is the reproduction vehicle for the paper's evaluation (§5): its
+// testbed of four 12-core replica machines with four 1 GbE adapters each
+// is far larger than one host, so multi-core scaling is reproduced by
+// simulation. Protocol behaviour is NOT modelled — each simulated logic
+// unit drives a real protocol::PbftCore (the same class the threaded
+// runtime uses); only CPU time and network bytes are accounted through
+// sim::CostModel instead of being burned for real.
 //
 // Setup mirrors §5 "The Setup": 4 replica machines (configurable cores,
 // 2 SMT contexts each, four 1 GbE adapters), 5 client machines, closed-
@@ -60,11 +61,6 @@ struct SimConfig {
   std::uint32_t num_pillars = 0;
   /// TOP/SMaRt auxiliary thread-pool size; 0 = auto.
   std::uint32_t pool_threads = 0;
-  /// COP execution worker pool (conflict-aware parallel execution). Only
-  /// meaningful for services that shard (kNull; the coordination service
-  /// classifies everything global and stays sequential). 0 = auto policy
-  /// (see exec_pool()); UINT32_MAX = off (sequential execution stage).
-  std::uint32_t exec_workers = 0;
 
   // ---- workload ----
   std::uint32_t clients = 800;
@@ -84,14 +80,7 @@ struct SimConfig {
   std::uint64_t seed = 42;
 
   // ---- fault injection ----
-  /// Legacy single-fault triple, kept as a compatibility shim: when
-  /// pause_replica is set it is translated into a kPause/kResume pair on
-  /// the `faults` timeline below. UINT32_MAX disables it.
-  std::uint32_t pause_replica = UINT32_MAX;
-  SimTime pause_at = 0;
-  SimTime resume_at = 0;
-
-  /// Generalized fault schedule: a timeline of per-replica events.
+  /// Fault schedule: a timeline of per-replica events.
   ///   kPause   — cut the replica's network (it neither sends nor receives;
   ///              its cores keep spinning on stale state).
   ///   kResume  — restore the network. The cluster meanwhile truncated its
@@ -141,40 +130,10 @@ struct SimConfig {
 
   CostModel costs;
 
-  /// The fault timeline with the legacy pause triple folded in.
-  std::vector<FaultEvent> effective_faults() const {
-    std::vector<FaultEvent> all = faults;
-    if (pause_replica != UINT32_MAX) {
-      all.push_back({pause_at, pause_replica, FaultEvent::Kind::kPause});
-      all.push_back({resume_at, pause_replica, FaultEvent::Kind::kResume});
-    }
-    return all;
-  }
-
   /// Resolved pillar count for this configuration.
   std::uint32_t pillars() const {
     if (arch != SimArch::kCop) return 1;
     return num_pillars != 0 ? num_pillars : 2 * cores;
-  }
-  /// Resolved execution-pool size. Workers only help a service whose
-  /// requests classify onto shards (kNull; the coordination service is
-  /// all-global and stays sequential). The auto policy follows the
-  /// measured regimes (docs/performance.md "What it buys"): once the
-  /// service cost dominates the per-job dispatch+retire overhead the
-  /// sequential stage saturates and the pool must spread the work (4
-  /// workers). Below that bar the pool is overhead management: batched
-  /// runs retire hundreds of requests per burst, so in-order retirement
-  /// waits for the worker anyway and sequential wins — pool off; in
-  /// unbatched runs one worker hides the service call behind the stage's
-  /// own dispatch/retire bookkeeping without adding oversubscription.
-  std::uint32_t exec_pool() const {
-    if (arch != SimArch::kCop || service == SimService::kCoordination)
-      return 0;
-    if (exec_workers == UINT32_MAX) return 0;
-    if (exec_workers != 0) return exec_workers;
-    const double per_job = costs.exec_dispatch_ns + costs.exec_retire_ns;
-    if (costs.exec_base_ns > 4.0 * per_job) return 4;
-    return protocol.batching ? 0 : 1;
   }
   std::uint32_t pool() const {
     if (pool_threads != 0) return pool_threads;
@@ -204,11 +163,8 @@ struct SimResult {
   double leader_cpu_utilization = 0;
   double follower_cpu_utilization = 0;
   std::uint64_t instances = 0;
-  /// Fault injection (pause_replica set): completed state transfers, and
-  /// the execution frontiers of the laggard and of replica 0 at the end.
+  /// Completed state transfers (fault injection).
   std::uint64_t state_transfers = 0;
-  std::uint64_t laggard_next_seq = 0;
-  std::uint64_t cluster_next_seq = 0;
 
   /// Execution frontier (next_seq) of every replica at the end of the run;
   /// scenario liveness/recovery checks read these.

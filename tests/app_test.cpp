@@ -103,51 +103,6 @@ TEST_F(KvStoreTest, DigestDistinguishesValues) {
   EXPECT_NE(store_.state_digest(), other.state_digest());
 }
 
-TEST_F(KvStoreTest, ClassifyRoutesKeysToShardsAndGarbageToGlobal) {
-  // Same key -> same shard, read/write bit from the opcode.
-  AccessClass get = store_.classify(
-      make_request(KvOp{KvOpCode::kGet, "some/key", {}}.encode()));
-  AccessClass put = store_.classify(
-      make_request(KvOp{KvOpCode::kPut, "some/key", to_bytes("v")}.encode()));
-  EXPECT_EQ(get.scope, AccessClass::Scope::kShard);
-  EXPECT_EQ(put.scope, AccessClass::Scope::kShard);
-  EXPECT_EQ(get.shard, put.shard);
-  EXPECT_LT(get.shard, store_.num_shards());
-  EXPECT_FALSE(get.write);
-  EXPECT_TRUE(put.write);
-  // Undecodable payload: conservative kGlobal (it still executes — to a
-  // kBadRequest reply — and must never be claimed independent).
-  EXPECT_EQ(store_.classify(make_request(to_bytes("garbage"))).scope,
-            AccessClass::Scope::kGlobal);
-}
-
-TEST_F(KvStoreTest, ShardCountIsNotReplicatedState) {
-  // Replicas configured with different shard counts must agree on digest
-  // and snapshot byte-for-byte: sharding is scheduling, not state.
-  KvStore one(*crypto_, 1);
-  KvStore five(*crypto_, 5);
-  for (int i = 0; i < 32; ++i) {
-    const Bytes payload =
-        KvOp{KvOpCode::kPut, "key-" + std::to_string(i),
-             to_bytes("value-" + std::to_string(i))}
-            .encode();
-    store_.execute(make_request(payload));
-    one.execute(make_request(payload));
-    five.execute(make_request(payload));
-  }
-  EXPECT_EQ(store_.state_digest(), one.state_digest());
-  EXPECT_EQ(store_.state_digest(), five.state_digest());
-  EXPECT_EQ(store_.snapshot(), one.snapshot());
-  EXPECT_EQ(store_.snapshot(), five.snapshot());
-
-  // And a snapshot restores across shard counts.
-  KvStore restored(*crypto_, 3);
-  ASSERT_TRUE(restored.restore(store_.snapshot(), store_.state_digest()));
-  EXPECT_EQ(restored.state_digest(), store_.state_digest());
-  ASSERT_NE(restored.lookup("key-7"), nullptr);
-  EXPECT_EQ(*restored.lookup("key-7"), to_bytes("value-7"));
-}
-
 #if COP_INVARIANTS_ENABLED
 std::atomic<int> g_quiescence_fires{0};
 void count_quiescence_violation(const InvariantViolation&) {
@@ -159,8 +114,8 @@ TEST_F(KvStoreTest, SnapshotDuringInFlightExecutionFiresInvariant) {
   g_quiescence_fires.store(0);
   InvariantHandler prev = set_invariant_handler(&count_quiescence_violation);
   {
-    // An open ExecutionScope is exactly what a worker still inside
-    // execute() looks like: hashing or snapshotting now would read state
+    // An open ExecutionScope is exactly what an execute() still in
+    // progress looks like: hashing or snapshotting now would read state
     // mid-mutation. The invariant makes that loud instead of latent.
     KvStore::ExecutionScope in_flight(store_);
     (void)store_.snapshot();

@@ -64,14 +64,13 @@ struct ReplyLog {
 class ExecutionStageTest : public ::testing::Test {
  protected:
   void start(ReplyMode mode = ReplyMode::kAll, std::uint32_t pillars = 2,
-             bool offload = false, std::uint32_t exec_workers = 0) {
+             bool offload = false) {
     config_.num_pillars = pillars;
     config_.protocol.num_pillars = pillars;
     config_.protocol.checkpoint_interval = 10;
     config_.protocol.window = 40;
     config_.reply_mode = mode;
     config_.gap_timeout_us = 10'000;
-    config_.exec_workers = exec_workers;
     crypto_ = crypto::make_real_crypto(3);
     if (!service_) service_ = std::make_unique<app::NullService>(4);
     stage_ = std::make_unique<ExecutionStage>(/*self=*/1, config_, *service_,
@@ -514,94 +513,6 @@ TEST_F(ExecutionStageTest, SequentialWrapAroundExecutesEverything) {
   EXPECT_EQ(stats.requests_executed, kTotal);
   EXPECT_EQ(stats.last_executed_seq, kTotal);
   EXPECT_EQ(stats.reorder_slot_drops, 0u);
-}
-
-// ---- parallel execution: the in-flight retransmission race --------------
-
-/// Sharded service whose execute() blocks until released — holds a request
-/// "in flight" on a worker so a retransmission can race it.
-class GateService final : public app::Service {
- public:
-  Bytes execute(const protocol::Request& request) override {
-    {
-      std::unique_lock lock(mutex_);
-      ++entered_;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return released_; });
-    }
-    return to_bytes("result-" + std::to_string(request.id));
-  }
-  app::AccessClass classify(const protocol::Request& request) const override {
-    return app::AccessClass::sharded(
-        static_cast<std::uint32_t>(request.id % 4), /*write=*/true);
-  }
-  crypto::Digest state_digest() const override { return {}; }
-
-  bool wait_entered(int count, int ms = 2000) {
-    std::unique_lock lock(mutex_);
-    return cv_.wait_for(lock, std::chrono::milliseconds(ms),
-                        [&] { return entered_ >= count; });
-  }
-  void release() {
-    std::lock_guard lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  int entered_ = 0;
-  bool released_ = false;
-};
-
-TEST_F(ExecutionStageTest, RetransmissionWhileOriginalInFlightKeepsOneStamp) {
-  auto gate = std::make_unique<GateService>();
-  GateService* service = gate.get();
-  service_ = std::move(gate);
-  start(ReplyMode::kAll, /*pillars=*/2, /*offload=*/true, /*exec_workers=*/2);
-
-  // Both instances must land in one ready streak — the stage drains the
-  // pool before going idle, so the in-flight window only exists for a
-  // retransmission processed back-to-back with its original. Admit the
-  // retransmission (seq 2) first; it parks on the gap at seq 1.
-  stage_->submit(batch(2, {7}));
-  // Closing the gap makes the stage dispatch the original to a worker —
-  // which blocks inside execute() — and then immediately hit the
-  // retransmission while the cache entry's result is still pending. The
-  // stage must not resend that pending (empty) entry, and it must not
-  // re-execute: it retires the original first, then resends its reply.
-  stage_->submit(batch(1, {7}));
-  ASSERT_TRUE(service->wait_entered(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  {
-    std::lock_guard lock(replies_.mutex);
-    EXPECT_TRUE(replies_.tasks.empty()) << "nothing may be emitted while "
-                                           "the original is still in flight";
-  }
-  service->release();
-  ASSERT_TRUE(replies_.wait_for(2));
-  stage_->stop();
-
-  ExecutionStats stats = stage_->stats();
-  EXPECT_EQ(stats.requests_executed, 1u) << "executed exactly once";
-  EXPECT_EQ(stats.requests_parallel, 1u);
-  EXPECT_EQ(stats.duplicates_suppressed, 1u);
-
-  std::lock_guard lock(replies_.mutex);
-  ASSERT_EQ(replies_.tasks.size(), 2u);
-  const ReplyTask& original = replies_.tasks[0];
-  const ReplyTask& resend = replies_.tasks[1];
-  // Both replies carry the *original* instance's stamp — a client must
-  // never see the same request answered under two (pillar, seq) pairs.
-  EXPECT_EQ(original.seq, 1u);
-  EXPECT_EQ(resend.seq, 1u);
-  EXPECT_EQ(original.pillar, 1u);
-  EXPECT_EQ(resend.pillar, 1u);
-  EXPECT_EQ(original.result, to_bytes("result-7"));
-  EXPECT_EQ(resend.result, to_bytes("result-7"))
-      << "the resend must carry the executed result, not the pending entry";
-  EXPECT_FALSE(resend.requests) << "cached retransmission skips post_process";
 }
 
 TEST_F(ExecutionStageTest, RepliesCarryVerifiableMac) {

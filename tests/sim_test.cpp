@@ -233,8 +233,6 @@ std::uint64_t result_digest(const SimResult& r) {
   mix(r.completed_ops);
   mix(r.instances);
   mix(r.state_transfers);
-  mix(r.laggard_next_seq);
-  mix(r.cluster_next_seq);
   mix(r.fork_detections);
   for (std::uint64_t seq : r.replica_next_seq) mix(seq);
   for (std::uint64_t ops : r.ops_timeline) mix(ops);

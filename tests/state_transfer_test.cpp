@@ -47,6 +47,7 @@ TEST(ServiceSnapshot, KvStoreRoundTrip) {
   app::KvStore fresh(*crypto);
   ASSERT_TRUE(fresh.restore(donor.snapshot(), donor.state_digest()));
   EXPECT_EQ(fresh.state_digest(), donor.state_digest());
+  EXPECT_EQ(fresh.snapshot(), donor.snapshot());
   EXPECT_EQ(fresh.size(), donor.size());
   const Bytes* value = fresh.lookup("key-2");
   ASSERT_NE(value, nullptr);
@@ -549,30 +550,31 @@ TEST(SimStateTransfer, PausedReplicaRejoinsDeterministically) {
   config.protocol.retransmit_interval_us = 20'000;
   config.warmup = 300 * 1'000'000ULL;   // 300 ms
   config.measure = 300 * 1'000'000ULL;  // 300 ms
-  config.pause_replica = 3;
-  config.pause_at = 100 * 1'000'000ULL;   // cut at 100 ms...
-  config.resume_at = 400 * 1'000'000ULL;  // ...reconnect at 400 ms
+  using Kind = sim::SimConfig::FaultEvent::Kind;
+  config.faults = {{100 * 1'000'000ULL, 3, Kind::kPause},    // cut at 100 ms...
+                   {400 * 1'000'000ULL, 3, Kind::kResume}};  // ...back at 400
 
   sim::SimResult result = run_simulation(config);
+  ASSERT_EQ(result.replica_next_seq.size(), 4u);
+  const std::uint64_t laggard = result.replica_next_seq[3];
+  const std::uint64_t cluster = result.replica_next_seq[0];
   EXPECT_GT(result.state_transfers, 0u)
       << "the paused replica must recover via state transfer, "
          "not retransmission";
-  EXPECT_GT(result.cluster_next_seq, 500u)
+  EXPECT_GT(cluster, 500u)
       << "the 2f+1 quorum kept committing through the fault";
   // The run is cut off mid-flight, so the laggard may trail by up to the
   // in-flight window on top of the protocol's own drift bound. Without
   // state transfer it would be stuck near its pause-time frontier, tens
   // of windows behind.
-  EXPECT_GE(result.laggard_next_seq + 2 * config.protocol.window,
-            result.cluster_next_seq)
+  EXPECT_GE(laggard + 2 * config.protocol.window, cluster)
       << "the laggard rejoined to within the drift bound";
 
   // Virtual time is deterministic: the same configuration replays to the
   // same trajectory bit for bit.
   sim::SimResult replay = run_simulation(config);
   EXPECT_EQ(replay.state_transfers, result.state_transfers);
-  EXPECT_EQ(replay.laggard_next_seq, result.laggard_next_seq);
-  EXPECT_EQ(replay.cluster_next_seq, result.cluster_next_seq);
+  EXPECT_EQ(replay.replica_next_seq, result.replica_next_seq);
   EXPECT_EQ(replay.completed_ops, result.completed_ops);
 }
 
