@@ -6,9 +6,10 @@
 // and must be cheap — implementations maintain it incrementally (the paper
 // notes services can pre-compute parts of the checkpoint hash, §2.2).
 //
-// pre_validate()/post_process() are COP's offloading hooks (§4.3.1): they
-// run inside the pillar, outside the total order, and must not touch
-// ordered state.
+// pre_validate() is COP's pre-execution offloading hook (§4.3.1): it runs
+// inside the pillar, outside the total order. post_process() runs on the
+// execution stage after execute(), before the reply is sealed. Neither may
+// touch ordered state.
 #pragma once
 
 #include "common/bytes.hpp"
@@ -44,8 +45,9 @@ class Service {
   /// ordering completes enforcement; false rejects the request early.
   virtual bool pre_validate(const protocol::Request&) { return true; }
 
-  /// Offloaded post-processing of a reply (e.g. final formatting), run in
-  /// the pillar after the ordered part produced `result`.
+  /// Post-processing of a fresh reply (e.g. final formatting), run on the
+  /// execution stage thread after execute() produced `result`. A cached
+  /// retransmission resends the raw result without it.
   virtual Bytes post_process(const protocol::Request&, Bytes result) {
     return result;
   }

@@ -44,22 +44,13 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
 
   pillars_.reserve(config_.num_pillars);
   for (std::uint32_t p = 0; p < config_.num_pillars; ++p) {
-    pillars_.push_back(std::make_shared<Pillar>(
-        self_, p, config_, crypto, transport_, exec_, outbound_,
-        service_.get(), on_stable));
+    pillars_.push_back(std::make_shared<Pillar>(self_, p, config_, crypto,
+                                                exec_, outbound_,
+                                                service_.get(), on_stable));
     pillars_.back()->set_catch_up_hint(
         [this](protocol::SeqNum observed) { state_->note_peer_ahead(observed); });
     transport_.register_sink(p, pillars_.back());
   }
-
-  // Offloaded post-execution (paper §4.3.2): the execution stage hands
-  // each finished request back to the pillar that ran its instance
-  // (task.pillar = seq % NP), where post_process + sealing + egress run
-  // in parallel. Non-blocking: if the pillar cannot take it (saturated or
-  // shutting down) the stage falls back to sealing inline.
-  exec_.set_reply_fn([this](ReplyTask& task) {
-    return pillars_[task.pillar]->try_post_reply(task);
-  });
 }
 
 void CopReplica::start() {

@@ -50,37 +50,9 @@ struct FetchMissing {
   protocol::SeqNum upto = 0;
 };
 
-// ---- execution-stage -> protocol-logic reply offload ----------------------
-
-/// Offloaded post-execution (paper §4.3.2): everything a pillar needs to
-/// finish a reply outside the sequential execution stage — run
-/// `Service::post_process`, build and MAC-seal the Reply, and send it.
-/// Routed to the *originating* pillar (the one that ran instance `seq`),
-/// so reply work parallelizes across the NP pillar threads.
-struct ReplyTask {
-  protocol::ClientId client = 0;
-  protocol::RequestId request = 0;
-  protocol::ViewId view = 0;
-  /// Originating pillar (seq % NP) and the instance the request rode in.
-  std::uint32_t pillar = 0;
-  protocol::SeqNum seq = 0;
-  /// The ordered-execution result. Deterministic and part of the
-  /// replicated client table; `post_process` (non-agreed decoration) is
-  /// applied downstream in the pillar, for fresh replies only.
-  Bytes result;
-  /// The batch the request came from, or null for a cached retransmission
-  /// (which resends the raw cached result and skips post_process).
-  std::shared_ptr<const std::vector<protocol::Request>> requests;
-  /// Index of the request within `requests` (when non-null).
-  std::uint32_t index = 0;
-};
-
 /// Intra-replica work a pillar drains with priority over network frames.
-/// ReplyTask rides here (not in its own queue slot) so reply offload and
-/// bookkeeping commands share the uninstrumented command channel and never
-/// compete with ingress frames for the pillar's admission budget.
-using PillarCommand = std::variant<StartCheckpoint, NoteStable, FillGap,
-                                   FetchMissing, ReplyTask>;
+using PillarCommand =
+    std::variant<StartCheckpoint, NoteStable, FillGap, FetchMissing>;
 
 /// A message that an upstream stage already decoded (and possibly
 /// verified): the ingress stage of TOP, the verification workers of the
@@ -89,11 +61,9 @@ struct PreparedInput {
   protocol::IncomingMessage im;
 };
 
-/// Everything a protocol-logic thread consumes: network frames,
-/// pre-processed messages, intra-replica commands, and offloaded reply
-/// work, in one queue so the thread has a single blocking point.
-using PillarEvent = std::variant<transport::ReceivedFrame, PillarCommand,
-                                 PreparedInput, ReplyTask>;
+/// What a protocol-logic thread's main queue carries: network frames and
+/// pre-processed messages. Commands travel on their own channel.
+using PillarEvent = std::variant<transport::ReceivedFrame, PreparedInput>;
 
 // ---- protocol-logic -> execution-stage --------------------------------
 
@@ -102,7 +72,7 @@ struct CommittedBatch {
   protocol::SeqNum seq = 0;
   protocol::ViewId view = 0;
   std::shared_ptr<const std::vector<protocol::Request>> requests;
-  /// Which pillar/logic unit completed it (reply routing, stats).
+  /// Which pillar/logic unit completed it (slice admission, trace stamps).
   std::uint32_t pillar = 0;
   /// The emitting core's stable checkpoint at delivery time — the
   /// authority under which `seq` was inside the watermark window. The

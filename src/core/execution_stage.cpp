@@ -250,7 +250,6 @@ ExecutionStats ExecutionStage::stats() const {
   out.noops_executed = n_noops_executed_.get();
   out.duplicates_suppressed = n_duplicates_suppressed_.get();
   out.replies_sent = n_replies_sent_.get();
-  out.replies_offloaded = n_replies_offloaded_.get();
   out.replies_omitted = n_replies_omitted_.get();
   out.checkpoints_triggered = n_checkpoints_triggered_.get();
   out.gap_fills_requested = n_gap_fills_requested_.get();
@@ -442,13 +441,12 @@ COP_HOT void ExecutionStage::execute_batch(const CommittedBatch& batch) {
     n_noops_executed_.add();
     return;
   }
-  const auto& requests = *batch.requests;
-  for (std::uint32_t i = 0; i < requests.size(); ++i) {
+  for (const protocol::Request& request : *batch.requests) {
     // The linking event: ties (client, request) to the sequence number the
     // protocol-phase events are stamped with.
     trace::point(trace::Point::kExecute, self_, batch.pillar, batch.seq,
-                 batch.view, requests[i].client, requests[i].id);
-    execute_request(requests[i], batch, i);
+                 batch.view, request.client, request.id);
+    execute_request(request, batch);
   }
 }
 
@@ -473,25 +471,19 @@ void ExecutionStage::record_executed(ClientState& state,
 }
 
 COP_HOT void ExecutionStage::execute_request(const protocol::Request& request,
-                                             const CommittedBatch& batch,
-                                             std::uint32_t index) {
+                                             const CommittedBatch& batch) {
   ClientState& state = clients_[request.client];
   if (already_executed(state, request.id)) {
     n_duplicates_suppressed_.add();
-    // Retransmission of an executed request: resend the cached reply (the
-    // raw ordered result; post_process ran when it was first sent, and a
-    // retransmission skips it — null `requests` signals that downstream).
+    // Retransmission of an executed request: resend the cached reply, the
+    // raw ordered result (post_process ran when it was first sent), stamped
+    // with the instance it originally executed in.
     auto cached = state.replies.find(request.id);
     if (cached == state.replies.end()) return;
-    ReplyTask task;
-    task.client = request.client;
-    task.request = request.id;
-    task.view = batch.view;
-    task.seq = cached->second.seq;
-    task.pillar = static_cast<std::uint32_t>(cached->second.seq %
-                                             config_.num_pillars);
-    task.result = cached->second.result;  // the cache keeps its entry
-    emit_reply(std::move(task));
+    const protocol::SeqNum seq = cached->second.seq;
+    send_reply(request.client, request.id, batch.view,
+               static_cast<std::uint32_t>(seq % config_.num_pillars), seq,
+               cached->second.result);  // the cache keeps its entry
     return;
   }
 
@@ -519,43 +511,24 @@ COP_HOT void ExecutionStage::execute_request(const protocol::Request& request,
   n_requests_executed_.add();
   if (omit) return;
 
-  ReplyTask task;
-  task.client = request.client;
-  task.request = request.id;
-  task.view = batch.view;
-  task.pillar = batch.pillar;
-  task.seq = batch.seq;
-  task.result = std::move(result);
-  task.requests = batch.requests;
-  task.index = index;
-  emit_reply(std::move(task));
+  send_reply(request.client, request.id, batch.view, batch.pillar, batch.seq,
+             service_.post_process(request, std::move(result)));
 }
 
-COP_HOT void ExecutionStage::emit_reply(ReplyTask task) {
-  // Counted at emission — offloaded or inline — so exec.replies_sent
-  // covers every reply exactly once wherever it is sealed.
+COP_HOT void ExecutionStage::send_reply(protocol::ClientId client,
+                                        protocol::RequestId request,
+                                        protocol::ViewId view,
+                                        std::uint32_t pillar,
+                                        protocol::SeqNum seq, Bytes result) {
   m_replies_sent_.add();
   n_replies_sent_.add();
-  // Offloaded post-execution (paper §4.3.2): the originating pillar runs
-  // post_process, seals and sends, in parallel with this stage.
-  if (reply_fn_ && reply_fn_(task)) {
-    n_replies_offloaded_.add();
-    return;
-  }
-  // Inline fallback: single-logic baselines (no ReplyFn installed) and the
-  // overload/shutdown path (the pillar's queue is full or closed).
-  Bytes result = task.requests
-                     ? service_.post_process((*task.requests)[task.index],
-                                             std::move(task.result))
-                     : std::move(task.result);
-  protocol::Message msg = protocol::Reply{
-      task.view, task.client, task.request, self_, std::move(result), {}};
+  protocol::Message msg =
+      protocol::Reply{view, client, request, self_, std::move(result), {}};
   Bytes frame = seal_message(msg, crypto_, protocol::replica_node(self_),
-                             {protocol::client_node(task.client)});
-  trace::point(trace::Point::kReplyEgress, self_, task.pillar, task.seq,
-               task.view, task.client, task.request);
-  transport_.send(protocol::client_node(task.client), /*lane=*/0,
-                  std::move(frame));
+                             {protocol::client_node(client)});
+  trace::point(trace::Point::kReplyEgress, self_, pillar, seq, view, client,
+               request);
+  transport_.send(protocol::client_node(client), /*lane=*/0, std::move(frame));
 }
 
 void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {

@@ -1,6 +1,6 @@
 // Execution stage: turns the out-of-order stream of committed instances
-// into the total order, executes the service, and hands replies back to
-// the pillars (paper §4.1/§4.2/§4.3).
+// into the total order, executes the service, and seals and sends the
+// replies (paper §4.1/§4.2).
 //
 // Pre-execution offload (paper §4.3.1): commit admission no longer runs
 // on the stage thread. Each pillar calls admit() from its own thread and
@@ -9,17 +9,17 @@
 // partition; lock-free publish with an atomic per-slot state word). The
 // pillar also maintains its slice's admission watermark, and poll_pillar()
 // lets it pick up its own work — gap fills for its slice on timeout and
-// checkpoint rounds it owns — so the stage thread does nothing but
-// advance next_seq, read ready slots and invoke the service.
+// checkpoint rounds it owns — so the stage thread only advances
+// next_seq, reads ready slots, invokes the service and sends the replies.
 //
 // Responsibilities that remain on the stage thread:
 //   * execute strictly in sequence order from the reorder ring,
 //   * exactly-once execution per (client, request id) with a bounded,
 //     indexed reply cache for O(1) retransmission handling,
-//   * offloaded post-execution: emit a ReplyTask to the originating
-//     pillar, which runs post_process + MAC sealing + egress in parallel
-//     across the NP pillar threads (inline fallback when no ReplyFn is
-//     installed — the TOP/SMaRt baselines — or the pillar is saturated),
+//   * post_process, MAC sealing and egress of every reply. The paper
+//     moves this work onto the pillars (§4.3.2); on the threaded runtime
+//     that hand-off measured no better than sealing here
+//     (docs/performance.md "Change 7"),
 //   * checkpoint digest/snapshot every `checkpoint_interval` sequence
 //     numbers; the StartCheckpoint signal is mailed to the owning pillar
 //     and picked up by its next poll_pillar() (paper §4.2.2),
@@ -58,7 +58,7 @@ struct ExecutionStats {
   std::uint64_t noops_executed = 0;
   std::uint64_t duplicates_suppressed = 0;
   std::uint64_t replies_sent = 0;
-  /// Of replies_sent: how many were handed to a pillar (vs. sealed inline).
+  /// Always 0 (every reply is sealed on the stage); perfbench still reads it.
   std::uint64_t replies_offloaded = 0;
   std::uint64_t replies_omitted = 0;
   std::uint64_t checkpoints_triggered = 0;
@@ -117,11 +117,6 @@ class ExecutionStage {
   /// checkpoint boundary; the host stores it for serving state transfers.
   using SnapshotFn =
       std::function<void(protocol::SeqNum, const crypto::Digest&, Bytes)>;
-  /// Offloaded post-execution hook (paper §4.3.2): hand a finished request
-  /// to the originating pillar for post_process + sealing + egress.
-  /// Returns false *leaving the task intact* when the pillar cannot take
-  /// it (queue full, shutting down); the stage then seals inline.
-  using ReplyFn = std::function<bool(ReplyTask&)>;
 
   ExecutionStage(ReplicaId self, const ReplicaRuntimeConfig& config,
                  app::Service& service, const crypto::CryptoProvider& crypto,
@@ -132,9 +127,6 @@ class ExecutionStage {
 
   /// Install before start(); snapshots are only materialized when set.
   void set_snapshot_fn(SnapshotFn fn) { snapshot_fn_ = std::move(fn); }
-  /// Install before start(); unset (TOP/SMaRt baselines, bare-stage
-  /// tests) means replies are post-processed, sealed and sent inline.
-  void set_reply_fn(ReplyFn fn) { reply_fn_ = std::move(fn); }
 
   /// Pre-execution offload (paper §4.3.1): called *on the pillar thread*
   /// when an instance commits. Invariant-checks the batch and publishes it
@@ -142,8 +134,6 @@ class ExecutionStage {
   /// the batch is the execution frontier. Thread-safe: each pillar only
   /// writes slots of its own slice c(p,i) = p + i·NP.
   bool admit(CommittedBatch batch);
-  /// Compatibility alias for single-producer callers (tests, benches).
-  bool submit(CommittedBatch batch) { return admit(std::move(batch)); }
 
   /// Called by the state-transfer manager with a fetched stable
   /// checkpoint; `done` runs on the stage thread with the outcome.
@@ -291,11 +281,12 @@ class ExecutionStage {
   void apply_ready();
   void execute_batch(const CommittedBatch& batch);
   void execute_request(const protocol::Request& request,
-                       const CommittedBatch& batch, std::uint32_t index);
-  /// Offloads the reply to its originating pillar, or — when no ReplyFn is
-  /// installed or the pillar rejected it — post-processes, seals and sends
-  /// inline.
-  void emit_reply(ReplyTask task);
+                       const CommittedBatch& batch);
+  /// Seals `result` into a Reply stamped with `view` and sends it to
+  /// `client`; `pillar` and `seq` only stamp the reply-egress trace point.
+  void send_reply(protocol::ClientId client, protocol::RequestId request,
+                  protocol::ViewId view, std::uint32_t pillar,
+                  protocol::SeqNum seq, Bytes result);
   void maybe_checkpoint(protocol::SeqNum seq);
   bool already_executed(ClientState& state, protocol::RequestId id) const;
   void record_executed(ClientState& state, protocol::RequestId id);
@@ -306,7 +297,6 @@ class ExecutionStage {
   const crypto::CryptoProvider& crypto_;
   transport::Transport& transport_;
   SnapshotFn snapshot_fn_;
-  ReplyFn reply_fn_;
 
   // Shared between pillar writers and the stage thread. next_seq_ is
   // advanced only by the stage thread (execution and install); pillars
@@ -348,7 +338,6 @@ class ExecutionStage {
   StageCounter n_noops_executed_;
   StageCounter n_duplicates_suppressed_;
   StageCounter n_replies_sent_;
-  StageCounter n_replies_offloaded_;
   StageCounter n_replies_omitted_;
   StageCounter n_checkpoints_triggered_;
   StageCounter n_state_installs_;

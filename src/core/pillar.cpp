@@ -5,7 +5,6 @@
 #include "common/logging.hpp"
 #include "common/time.hpp"
 #include "common/trace.hpp"
-#include "core/outbound.hpp"
 
 namespace copbft::core {
 namespace {
@@ -24,15 +23,12 @@ std::string metric_prefix(ReplicaId self, std::uint32_t index) {
 
 Pillar::Pillar(ReplicaId self, std::uint32_t index,
                const ReplicaRuntimeConfig& config,
-               const crypto::CryptoProvider& crypto,
-               transport::Transport& transport, ExecutionStage& exec,
+               const crypto::CryptoProvider& crypto, ExecutionStage& exec,
                OutboundSink& outbound, app::Service* service,
                StableFn on_stable)
     : self_(self),
       index_(index),
       config_(config),
-      crypto_(crypto),
-      transport_(transport),
       exec_(exec),
       outbound_(outbound),
       service_(service),
@@ -46,8 +42,6 @@ Pillar::Pillar(ReplicaId self, std::uint32_t index,
           metric_prefix(self, index) + "requests_in")),
       m_instances_delivered_(metrics::MetricsRegistry::global().counter(
           metric_prefix(self, index) + "instances_delivered")),
-      m_replies_out_(metrics::MetricsRegistry::global().counter(
-          metric_prefix(self, index) + "replies_out")),
       m_stable_seq_(metrics::MetricsRegistry::global().gauge(
           metric_prefix(self, index) + "stable_seq")) {
   queue_.instrument(metrics::MetricsRegistry::global().gauge(
@@ -69,6 +63,11 @@ void Pillar::stop() {
 
 void Pillar::run() {
   const auto poll = std::chrono::microseconds(1000);
+  // Arms the core's view-change progress timer while it is still idle. A
+  // core that has never ticked measures a stall from time zero, so a
+  // proposal dequeued before the first tick would start a spurious view
+  // change at once.
+  core_.tick(now_us());
   while (true) {
     auto event = queue_.pop_for(poll);
     if (!event && queue_.closed()) {
@@ -87,12 +86,8 @@ void Pillar::run() {
     if (event) {
       if (auto* frame = std::get_if<transport::ReceivedFrame>(&*event)) {
         handle_frame(*frame);
-      } else if (auto* prepared = std::get_if<PreparedInput>(&*event)) {
-        handle_prepared(*prepared);
-      } else if (auto* reply = std::get_if<ReplyTask>(&*event)) {
-        process_reply(std::move(*reply));
       } else {
-        handle_command(std::get<PillarCommand>(*event));
+        handle_prepared(std::get<PreparedInput>(*event));
       }
     }
     core_.tick(now_us());
@@ -134,27 +129,6 @@ COP_HOT void Pillar::handle_prepared(PreparedInput& input) {
   core_.on_message(std::move(input.im), now_us());
 }
 
-COP_HOT void Pillar::process_reply(ReplyTask task) {
-  // Offloaded post-execution (paper §4.3.2): the non-sequential tail of a
-  // request — post_process, Reply construction, MAC sealing, egress —
-  // runs here, in parallel across the NP pillar threads, instead of
-  // serializing inside the execution stage. Cached retransmissions carry
-  // no batch and skip post_process (it ran on first send).
-  Bytes result = (service_ && task.requests)
-                     ? service_->post_process((*task.requests)[task.index],
-                                              std::move(task.result))
-                     : std::move(task.result);
-  protocol::Message msg = protocol::Reply{
-      task.view, task.client, task.request, self_, std::move(result), {}};
-  Bytes frame = seal_message(msg, crypto_, protocol::replica_node(self_),
-                             {protocol::client_node(task.client)});
-  m_replies_out_.add();
-  trace::point(trace::Point::kReplyEgress, self_, task.pillar, task.seq,
-               task.view, task.client, task.request);
-  transport_.send(protocol::client_node(task.client), /*lane=*/0,
-                  std::move(frame));
-}
-
 COP_HOT void Pillar::feed_request(protocol::Request req, bool verified) {
   // Offloaded pre-execution (paper §4.3.1): reject malformed operations
   // before they consume an ordering slot.
@@ -166,10 +140,7 @@ COP_HOT void Pillar::feed_request(protocol::Request req, bool verified) {
 }
 
 void Pillar::handle_command(PillarCommand& command) {
-  if (auto* reply = std::get_if<ReplyTask>(&command)) {
-    // Reply offload rides the command channel (see try_post_reply).
-    process_reply(std::move(*reply));
-  } else if (const auto* cp = std::get_if<StartCheckpoint>(&command)) {
+  if (const auto* cp = std::get_if<StartCheckpoint>(&command)) {
     // Checkpoint agreements are distributed round-robin over the pillars
     // (paper §4.2.2); running one on the wrong pillar would agree the
     // checkpoint on the wrong lane and desynchronize log truncation.

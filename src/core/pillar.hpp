@@ -34,8 +34,7 @@ class Pillar final : public transport::FrameSink {
 
   Pillar(ReplicaId self, std::uint32_t index,
          const ReplicaRuntimeConfig& config,
-         const crypto::CryptoProvider& crypto,
-         transport::Transport& transport, ExecutionStage& exec,
+         const crypto::CryptoProvider& crypto, ExecutionStage& exec,
          OutboundSink& outbound, app::Service* service, StableFn on_stable);
 
   void start();
@@ -66,27 +65,10 @@ class Pillar final : public transport::FrameSink {
   /// Prepared messages from upstream pipeline stages.
   bool post(PillarEvent event) { return queue_.push(std::move(event)); }
 
-  /// Offloaded post-execution (paper §4.3.2): the execution stage hands a
-  /// finished request back to this (originating) pillar, which runs
-  /// post_process + MAC sealing + egress on its own thread. Non-blocking —
-  /// the execution stage must never wait on a pillar (the pillar may
-  /// itself be blocked submitting to the execution stage). On failure the
-  /// task is left intact so the caller can seal inline.
-  /// Routed through the command channel (uninstrumented, ample headroom,
-  /// drained with priority) so reply offload never competes with ingress
-  /// frames for the main queue's admission budget — under overload the
-  /// transport sheds *requests*, not finished replies.
-  bool try_post_reply(ReplyTask& task) {
-    PillarCommand command{std::move(task)};
-    if (commands_.try_push_ref(command, /*count_blocked=*/false)) return true;
-    task = std::move(std::get<ReplyTask>(command));
-    return false;
-  }
-
-  /// Commands from the execution stage / sibling pillars. Uses a separate
-  /// queue with ample headroom so the execution stage never blocks on a
-  /// pillar whose main queue is full (which could deadlock: the pillar may
-  /// itself be blocked submitting to the execution stage).
+  /// Commands from sibling pillars and the state-transfer manager. Uses a
+  /// separate queue with ample headroom so a poster never blocks on a
+  /// pillar whose main queue is full. A push does not wake a parked
+  /// pillar: it drains commands at its next frame or 1 ms heartbeat.
   bool post_command(PillarCommand command) {
     return commands_.push(std::move(command));
   }
@@ -109,15 +91,12 @@ class Pillar final : public transport::FrameSink {
   void handle_frame(transport::ReceivedFrame& frame);
   void handle_prepared(PreparedInput& input);
   void handle_command(PillarCommand& command);
-  void process_reply(ReplyTask task);
   void feed_request(protocol::Request req, bool verified);
   void drain_effects();
 
   const ReplicaId self_;
   const std::uint32_t index_;
   const ReplicaRuntimeConfig& config_;
-  const crypto::CryptoProvider& crypto_;
-  transport::Transport& transport_;
   ExecutionStage& exec_;
   OutboundSink& outbound_;
   app::Service* service_;  ///< offloaded pre-validation hook; may be null
@@ -137,7 +116,6 @@ class Pillar final : public transport::FrameSink {
   metrics::Counter& m_frames_in_;
   metrics::Counter& m_requests_in_;
   metrics::Counter& m_instances_delivered_;
-  metrics::Counter& m_replies_out_;
   metrics::Gauge& m_stable_seq_;
 
   mutable Mutex stats_mutex_;

@@ -24,8 +24,8 @@ SmartReplica::SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
     throw std::invalid_argument(
         "SMaRt baseline requires max_active_proposals = 1");
 
-  logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, transport,
-                                    exec_, outbound_, service_.get(),
+  logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, exec_,
+                                    outbound_, service_.get(),
                                     Pillar::StableFn{});
   verify_pool_ = std::make_shared<VerifyPool>(*this, config_.auth_threads,
                                               config_.queue_capacity);

@@ -18,8 +18,8 @@ TopReplica::TopReplica(ReplicaId self, ReplicaRuntimeConfig config,
   if (config_.num_pillars != 1)
     throw std::invalid_argument("TOP replica has exactly one logic thread");
 
-  logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, transport,
-                                    exec_, outbound_, service_.get(),
+  logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, exec_,
+                                    outbound_, service_.get(),
                                     Pillar::StableFn{});
   ingress_ = std::make_shared<IngressStage>(*this, config_.queue_capacity);
   transport.register_sink(0, ingress_);

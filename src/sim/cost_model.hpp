@@ -65,8 +65,8 @@ struct CostModel {
   double exec_base_ns = 180.0;    ///< per ordered request, null service
   double pillar_admit_ns = 170.0; ///< lock-free ring publish, on the pillar
   double exec_order_ns = 60.0;    ///< ring take per executed instance
-  /// Building + routing one ReplyTask to its originating pillar — the
-  /// only per-reply work left in the stage after the §4.3.2 offload.
+  /// Building + routing one reply hand-off to its originating pillar — the
+  /// only per-reply work the modelled §4.3.2 offload leaves in the stage.
   double reply_task_ns = 90.0;
   double reply_build_ns = 280.0;
 

@@ -802,10 +802,12 @@ double ExecSim::apply_ready(
         bool omit = cfg.reply_mode == core::ReplyMode::kOmitOne &&
                     req.key() % cfg.protocol.num_replicas == replica.id;
         if (!omit) {
-          // Offloaded post-execution (§4.3.2): the reply goes back to the
-          // *originating* pillar — the one that ran instance seq — so
-          // post-processing and sealing parallelize across pillars. The
-          // stage itself only pays for building/routing the ReplyTask.
+          // Offloaded post-execution (§4.3.2), as the paper runs it (the
+          // threaded runtime seals on its stage; EXPERIMENTS.md deviation
+          // 7): the reply goes back to the *originating* pillar — the one
+          // that ran instance seq — so post-processing and sealing
+          // parallelize across pillars. The stage itself only pays for
+          // building/routing the hand-off.
           std::uint32_t unit =
               (cfg.arch == SimArch::kCop)
                   ? static_cast<std::uint32_t>(d.seq % replica.logic.size())

@@ -370,9 +370,9 @@ TEST(ReplyModes, OmitOneStillReachesQuorum) {
   }
 }
 
-// ---- offloaded reply pipeline (paper §4.3.2) ----------------------------
+// ---- reply path across pillar counts --------------------------------------
 
-TEST(CopCluster, ReplyOffloadAcrossPillarCounts) {
+TEST(CopCluster, RepliesAcrossPillarCounts) {
   for (std::uint32_t pillars : {1u, 2u, 4u}) {
     SCOPED_TRACE("pillars=" + std::to_string(pillars));
     ClusterOptions options;
@@ -391,16 +391,6 @@ TEST(CopCluster, ReplyOffloadAcrossPillarCounts) {
       return stats.exec.requests_executed >= 30 ||
              stats.exec.state_installs > 0;
     })) << "a replica neither executed everything nor transferred state";
-
-    // Every reply left through a pillar (the §4.3.2 offload); the inline
-    // fallback stays an overload/shutdown escape hatch, unused here.
-    for (protocol::ReplicaId r = 0; r < 4; ++r) {
-      const auto stats = cluster.replica(r).stats().exec;
-      if (stats.state_installs > 0) continue;  // transferred the prefix
-      EXPECT_GT(stats.replies_offloaded, 0u) << "replica " << r;
-      EXPECT_EQ(stats.replies_offloaded, stats.replies_sent)
-          << "replica " << r;
-    }
   }
 }
 

@@ -9,7 +9,10 @@
 
 #include "app/null_service.hpp"
 #include "common/invariant.hpp"
+#include "core/checkpoint_artifact.hpp"
 #include "core/execution_stage.hpp"
+#include "core/outbound.hpp"
+#include "protocol/wire.hpp"
 #include "support/fake_transport.hpp"
 
 namespace copbft::test {
@@ -39,32 +42,21 @@ struct CommandLog {
   }
 };
 
-/// Captures offloaded ReplyTasks the way CopReplica's pillars would.
-struct ReplyLog {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<ReplyTask> tasks;
-  bool reject = false;
-
-  bool on_task(ReplyTask& task) {
-    std::lock_guard lock(mutex);
-    if (reject) return false;
-    tasks.push_back(std::move(task));
-    cv.notify_all();
-    return true;
-  }
-
-  bool wait_for(std::size_t count, int ms = 2000) {
-    std::unique_lock lock(mutex);
-    return cv.wait_for(lock, std::chrono::milliseconds(ms),
-                       [&] { return tasks.size() >= count; });
+/// Returns a fixed raw result and marks it in post_process, so a reply
+/// frame shows whether its result was post-processed.
+class MarkingService final : public app::Service {
+ public:
+  Bytes execute(const Request&) override { return to_bytes("raw"); }
+  crypto::Digest state_digest() const override { return {}; }
+  Bytes post_process(const Request&, Bytes result) override {
+    result.push_back(Byte{'!'});
+    return result;
   }
 };
 
 class ExecutionStageTest : public ::testing::Test {
  protected:
-  void start(ReplyMode mode = ReplyMode::kAll, std::uint32_t pillars = 2,
-             bool offload = false) {
+  void start(ReplyMode mode = ReplyMode::kAll, std::uint32_t pillars = 2) {
     config_.num_pillars = pillars;
     config_.protocol.num_pillars = pillars;
     config_.protocol.checkpoint_interval = 10;
@@ -75,9 +67,7 @@ class ExecutionStageTest : public ::testing::Test {
     if (!service_) service_ = std::make_unique<app::NullService>(4);
     stage_ = std::make_unique<ExecutionStage>(/*self=*/1, config_, *service_,
                                               *crypto_, transport_);
-    if (offload)
-      stage_->set_reply_fn(
-          [this](ReplyTask& task) { return replies_.on_task(task); });
+    if (snapshot_fn_) stage_->set_snapshot_fn(snapshot_fn_);
     stage_->start();
     // Stand-in for the pillars' run loops: each pillar polls the stage for
     // its own share of bookkeeping — checkpoint rounds it owns, gap fills
@@ -146,7 +136,7 @@ class ExecutionStageTest : public ::testing::Test {
   std::unique_ptr<app::Service> service_;
   FakeTransport transport_;
   CommandLog log_;
-  ReplyLog replies_;
+  ExecutionStage::SnapshotFn snapshot_fn_;  ///< installed by start() if set
   std::unique_ptr<ExecutionStage> stage_;
   std::thread pump_;
   std::atomic<bool> pump_stop_{false};
@@ -155,9 +145,9 @@ class ExecutionStageTest : public ::testing::Test {
 TEST_F(ExecutionStageTest, ExecutesInSequenceOrderDespiteArrivalOrder) {
   start();
   // Arrive out of order: 3, 1, 2.
-  stage_->submit(batch(3, {30}));
-  stage_->submit(batch(1, {10}));
-  stage_->submit(batch(2, {20}));
+  stage_->admit(batch(3, {30}));
+  stage_->admit(batch(1, {10}));
+  stage_->admit(batch(2, {20}));
   ASSERT_TRUE(wait_replies(3));
   stage_->stop();
 
@@ -177,21 +167,21 @@ TEST_F(ExecutionStageTest, ExecutesInSequenceOrderDespiteArrivalOrder) {
 
 TEST_F(ExecutionStageTest, HoldsBackUntilGapCloses) {
   start();
-  stage_->submit(batch(2, {20}));
+  stage_->admit(batch(2, {20}));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(stage_->stats().requests_executed, 0u) << "seq 1 missing";
-  stage_->submit(batch(1, {10}));
+  stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   EXPECT_EQ(stage_->stats().requests_executed, 2u);
 }
 
 TEST_F(ExecutionStageTest, DuplicateRequestSuppressedAndReplyResent) {
   start();
-  stage_->submit(batch(1, {7}));
+  stage_->admit(batch(1, {7}));
   ASSERT_TRUE(wait_replies(1));
   // The same request committed again at a later sequence number (client
   // retransmission raced the first instance).
-  stage_->submit(batch(2, {7}));
+  stage_->admit(batch(2, {7}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
 
@@ -207,9 +197,9 @@ TEST_F(ExecutionStageTest, DuplicateRequestSuppressedAndReplyResent) {
 TEST_F(ExecutionStageTest, NoopBatchesAdvanceWithoutExecution) {
   start();
   // seq 1 belongs to pillar 1 of 2 under c(p,i) = p + i*NP.
-  stage_->submit(CommittedBatch{
+  stage_->admit(CommittedBatch{
       1, 0, std::make_shared<std::vector<Request>>(), 1});
-  stage_->submit(batch(2, {5}));
+  stage_->admit(batch(2, {5}));
   ASSERT_TRUE(wait_replies(1));
   EXPECT_EQ(stage_->stats().noops_executed, 1u);
   EXPECT_EQ(stage_->stats().requests_executed, 1u);
@@ -218,7 +208,7 @@ TEST_F(ExecutionStageTest, NoopBatchesAdvanceWithoutExecution) {
 TEST_F(ExecutionStageTest, CheckpointTriggeredAtIntervalWithRoundRobinOwner) {
   start(ReplyMode::kAll, /*pillars=*/2);
   for (SeqNum s = 1; s <= 20; ++s)
-    stage_->submit(batch(s, {static_cast<RequestId>(s)}));
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
   ASSERT_TRUE(log_.wait_for([](const auto& commands) {
     int checkpoints = 0;
     for (const auto& [pillar, cmd] : commands)
@@ -245,7 +235,7 @@ TEST_F(ExecutionStageTest, CheckpointTriggeredAtIntervalWithRoundRobinOwner) {
 
 TEST_F(ExecutionStageTest, GapFillRequestedWhenStalled) {
   start();
-  stage_->submit(batch(5, {50}));  // seqs 1-4 missing
+  stage_->admit(batch(5, {50}));  // seqs 1-4 missing
   // Each pillar times its own stall against the shared frontier and
   // requests a fill for its own slice — wait until every pillar fired.
   ASSERT_TRUE(log_.wait_for([&](const auto& commands) {
@@ -283,71 +273,55 @@ TEST_F(ExecutionStageTest, OmitOneSkipsDeterministicReplica) {
   ASSERT_NE(omitted_id, 0u);
   ASSERT_NE(replied_id, 0u);
 
-  stage_->submit(batch(1, {omitted_id}));
-  stage_->submit(batch(2, {replied_id}));
+  stage_->admit(batch(1, {omitted_id}));
+  stage_->admit(batch(2, {replied_id}));
   ASSERT_TRUE(wait_replies(1));
+  // A retransmission of the omitted request is still answered from the
+  // cache: the reply cache is replicated state, independent of which
+  // replica omitted the original reply.
+  stage_->admit(batch(3, {omitted_id}));
+  ASSERT_TRUE(wait_replies(2));
   stage_->stop();
 
   EXPECT_EQ(stage_->stats().replies_omitted, 1u);
-  EXPECT_EQ(stage_->stats().replies_sent, 1u);
+  EXPECT_EQ(stage_->stats().replies_sent, 2u);
   auto sent = transport_.take_sent();
-  ASSERT_EQ(sent.size(), 1u);
+  ASSERT_EQ(sent.size(), 2u) << "the omitted original sent no frame";
   EXPECT_EQ(std::get<Reply>(decode_message(sent[0].frame)->msg).id,
             replied_id);
+  EXPECT_EQ(std::get<Reply>(decode_message(sent[1].frame)->msg).id,
+            omitted_id);
 }
 
-// ---- offloaded post-execution (paper §4.3.2) ----------------------------
+// ---- reply path ----------------------------------------------------------
 
-TEST_F(ExecutionStageTest, RepliesOffloadToOriginatingPillar) {
-  start(ReplyMode::kAll, /*pillars=*/2, /*offload=*/true);
-  stage_->submit(batch(1, {11}));
-  stage_->submit(batch(2, {12}));
-  stage_->submit(batch(3, {13}));
-  ASSERT_TRUE(replies_.wait_for(3));
-  stage_->stop();
-
-  std::lock_guard lock(replies_.mutex);
-  ASSERT_EQ(replies_.tasks.size(), 3u);
-  for (std::size_t i = 0; i < replies_.tasks.size(); ++i) {
-    const ReplyTask& task = replies_.tasks[i];
-    EXPECT_EQ(task.seq, i + 1) << "tasks emitted in execution order";
-    EXPECT_EQ(task.pillar, task.seq % 2)
-        << "reply must route to the pillar that ran the instance";
-    ASSERT_TRUE(task.requests) << "fresh reply carries its batch";
-    EXPECT_EQ((*task.requests)[task.index].id, task.request);
-  }
-  ExecutionStats stats = stage_->stats();
-  EXPECT_EQ(stats.replies_sent, 3u);
-  EXPECT_EQ(stats.replies_offloaded, 3u);
-  EXPECT_EQ(transport_.sent_count(), 0u) << "nothing sealed inline";
-}
-
-TEST_F(ExecutionStageTest, OffloadedReplyCarriesCommitView) {
-  start(ReplyMode::kAll, /*pillars=*/2, /*offload=*/true);
+TEST_F(ExecutionStageTest, ReplyCarriesCommitView) {
+  start();
   // A commit delivered after a view change must stamp the new view into
   // the reply (clients match replies against the view they learn).
   CommittedBatch post_view_change = batch(1, {5});
   post_view_change.view = 3;
-  stage_->submit(std::move(post_view_change));
-  ASSERT_TRUE(replies_.wait_for(1));
+  stage_->admit(std::move(post_view_change));
+  ASSERT_TRUE(wait_replies(1));
+  stage_->stop();
 
-  std::lock_guard lock(replies_.mutex);
-  ASSERT_EQ(replies_.tasks.size(), 1u);
-  EXPECT_EQ(replies_.tasks[0].view, 3u);
+  auto sent = transport_.take_sent();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(std::get<Reply>(decode_message(sent[0].frame)->msg).view, 3u);
 }
 
 TEST_F(ExecutionStageTest, ReplyCacheEvictsOldestAndServesIndexedHits) {
-  start(ReplyMode::kAll, /*pillars=*/2, /*offload=*/true);
+  start();
   // Fill one client's reply cache past its 32-entry bound: ids 1..40, so
   // the 8 oldest (1..8) are evicted.
   for (SeqNum s = 1; s <= 40; ++s)
-    stage_->submit(batch(s, {static_cast<RequestId>(s)}));
-  ASSERT_TRUE(replies_.wait_for(40));
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
+  ASSERT_TRUE(wait_replies(40));
   // A retransmission of a still-cached id is answered from the index; a
   // retransmission of an evicted id is suppressed without a reply.
-  stage_->submit(batch(41, {40}));
-  stage_->submit(batch(42, {2}));
-  ASSERT_TRUE(replies_.wait_for(41));
+  stage_->admit(batch(41, {40}));
+  stage_->admit(batch(42, {2}));
+  ASSERT_TRUE(wait_replies(41));
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.duplicates_suppressed >= 2; }));
   stage_->stop();
@@ -357,66 +331,31 @@ TEST_F(ExecutionStageTest, ReplyCacheEvictsOldestAndServesIndexedHits) {
   EXPECT_EQ(stats.duplicates_suppressed, 2u);
   EXPECT_EQ(stats.replies_sent, 41u) << "hit resent, evicted miss silent";
 
-  std::lock_guard lock(replies_.mutex);
-  const ReplyTask& resent = replies_.tasks.back();
-  EXPECT_EQ(resent.request, 40u);
-  EXPECT_EQ(resent.seq, 40u) << "stamped with the original instance";
-  EXPECT_EQ(resent.pillar, 0u) << "routed via the original pillar";
-  EXPECT_FALSE(resent.requests) << "cached retransmission skips post_process";
+  auto sent = transport_.take_sent();
+  ASSERT_EQ(sent.size(), 41u) << "evicted id 2 gets no frame";
+  const Reply first = std::get<Reply>(decode_message(sent[39].frame)->msg);
+  const Reply resent = std::get<Reply>(decode_message(sent[40].frame)->msg);
+  ASSERT_EQ(first.id, 40u);
+  EXPECT_EQ(resent.id, 40u);
+  EXPECT_EQ(resent.result, first.result);
 }
 
-TEST_F(ExecutionStageTest, OmitOneUnderOffloadEmitsNoTaskForOmitted) {
-  start(ReplyMode::kOmitOne, /*pillars=*/2, /*offload=*/true);
-  RequestId omitted_id = 0, replied_id = 0;
-  for (RequestId id = 1; id < 50 && (!omitted_id || !replied_id); ++id) {
-    if (config_.omitted_replier(request_key(1001, id)) == 1)
-      omitted_id = omitted_id ? omitted_id : id;
-    else
-      replied_id = replied_id ? replied_id : id;
-  }
-  ASSERT_NE(omitted_id, 0u);
-  ASSERT_NE(replied_id, 0u);
-
-  stage_->submit(batch(1, {omitted_id}));
-  stage_->submit(batch(2, {replied_id}));
-  ASSERT_TRUE(replies_.wait_for(1));
-  ASSERT_TRUE(wait_stats(
-      [](const ExecutionStats& s) { return s.requests_executed >= 2; }));
-  {
-    std::lock_guard lock(replies_.mutex);
-    ASSERT_EQ(replies_.tasks.size(), 1u) << "omitted request emits no task";
-    EXPECT_EQ(replies_.tasks[0].request, replied_id);
-  }
-  ExecutionStats stats = stage_->stats();
-  EXPECT_EQ(stats.replies_omitted, 1u);
-  EXPECT_EQ(stats.replies_sent, 1u);
-
-  // A retransmission of the omitted request is still answered from the
-  // cache: the reply cache is replicated state, independent of which
-  // replica omitted the original reply.
-  stage_->submit(batch(3, {omitted_id}));
-  ASSERT_TRUE(replies_.wait_for(2));
-  std::lock_guard lock(replies_.mutex);
-  EXPECT_EQ(replies_.tasks[1].request, omitted_id);
-  EXPECT_FALSE(replies_.tasks[1].requests);
-}
-
-TEST_F(ExecutionStageTest, FallsBackInlineWhenPillarRejects) {
-  start(ReplyMode::kAll, /*pillars=*/2, /*offload=*/true);
-  {
-    std::lock_guard lock(replies_.mutex);
-    replies_.reject = true;  // saturated / closing pillar
-  }
-  stage_->submit(batch(1, {9}));
+TEST_F(ExecutionStageTest, ReplyFrameIsTheSealOfTheExecutedResult) {
+  start();
+  stage_->admit(batch(1, {9}));
   ASSERT_TRUE(wait_replies(1));
   stage_->stop();
 
-  ExecutionStats stats = stage_->stats();
-  EXPECT_EQ(stats.replies_sent, 1u);
-  EXPECT_EQ(stats.replies_offloaded, 0u);
-  // The inline fallback seals a full, verifiable reply frame itself.
+  EXPECT_EQ(stage_->stats().replies_sent, 1u);
   auto sent = transport_.take_sent();
   ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].to, client_node(1001));
+  // Byte for byte the Reply the stage must build: commit view, request
+  // ids, this replica, the (post-processed) result, one MAC for the client.
+  protocol::Message expected =
+      Reply{/*view=*/0, 1001, 9, /*replica=*/1, Bytes(4, Byte{0xab}), {}};
+  EXPECT_EQ(sent[0].frame, seal_message(expected, *crypto_, replica_node(1),
+                                        {client_node(1001)}));
   auto decoded = decode_message(sent[0].frame);
   ASSERT_TRUE(decoded);
   const auto& reply = std::get<Reply>(decoded->msg);
@@ -424,6 +363,49 @@ TEST_F(ExecutionStageTest, FallsBackInlineWhenPillarRejects) {
   ByteSpan body{sent[0].frame.data(), decoded->body_size};
   EXPECT_TRUE(reply.auth.verify(*crypto_, replica_node(1),
                                 client_node(1001), body));
+}
+
+TEST_F(ExecutionStageTest, PostProcessDecoratesFreshRepliesOnly) {
+  service_ = std::make_unique<MarkingService>();
+  auto artifact = std::make_shared<Bytes>();
+  snapshot_fn_ = [artifact](SeqNum seq, const crypto::Digest&, Bytes a) {
+    if (seq == 10) *artifact = std::move(a);
+  };
+  start();
+  // Request 7 executes at seq 1; no-ops carry the order to the checkpoint
+  // at seq 10; seq 11 retransmits request 7.
+  stage_->admit(batch(1, {7}));
+  for (SeqNum s = 2; s <= 10; ++s) stage_->admit(batch(s, {}));
+  stage_->admit(batch(11, {7}));
+  ASSERT_TRUE(wait_replies(2));
+  stage_->stop();  // joins the stage thread, which wrote `artifact`
+
+  auto sent = transport_.take_sent();
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(std::get<Reply>(decode_message(sent[0].frame)->msg).result,
+            to_bytes("raw!"))
+      << "a fresh reply is post-processed";
+  EXPECT_EQ(std::get<Reply>(decode_message(sent[1].frame)->msg).result,
+            to_bytes("raw"))
+      << "a cached retransmission resends the raw result";
+
+  // The client table is replicated state: it caches the raw result.
+  Bytes expected_table;
+  {
+    WireWriter w(expected_table);
+    w.u32(1);     // clients
+    w.u32(1001);  // client id
+    w.u64(7);     // max_done
+    w.u32(1);     // done ids
+    w.u64(7);
+    w.u32(1);  // cached replies
+    w.u64(7);  // request id
+    w.u64(1);  // seq it executed in
+    w.bytes(to_bytes("raw"));
+  }
+  auto decoded = CheckpointArtifact::decode(*artifact);
+  ASSERT_TRUE(decoded) << "no checkpoint artifact at seq 10";
+  EXPECT_EQ(decoded->client_table, expected_table);
 }
 
 // ---- reorder ring under adversarial sequence patterns -------------------
@@ -439,14 +421,14 @@ void count_invariant(const InvariantViolation&) {
 
 TEST_F(ExecutionStageTest, SlotCollisionDropsHigherSeqAndCounts) {
   start(ReplyMode::kAll, /*pillars=*/1);
-  stage_->submit(batch(2, {20}));    // parked: seq 1 missing
-  stage_->submit(batch(130, {13}));  // 130 & 127 == 2: collides
+  stage_->admit(batch(2, {20}));    // parked: seq 1 missing
+  stage_->admit(batch(130, {13}));  // 130 & 127 == 2: collides
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.reorder_slot_drops >= 1; }));
 
   // The lower seq executes first, so it is the one kept; 130 is dropped
   // and gap detection would re-fetch it later.
-  stage_->submit(batch(1, {10}));
+  stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
   ExecutionStats stats = stage_->stats();
@@ -459,12 +441,12 @@ TEST_F(ExecutionStageTest, SlotCollisionEvictsHigherSeqOccupant) {
   start(ReplyMode::kAll, /*pillars=*/1);
   // Reverse arrival order: the higher seq occupies the slot first and must
   // be evicted in favour of the lower one.
-  stage_->submit(batch(130, {13}));
-  stage_->submit(batch(2, {20}));
+  stage_->admit(batch(130, {13}));
+  stage_->admit(batch(2, {20}));
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.reorder_slot_drops >= 1; }));
 
-  stage_->submit(batch(1, {10}));
+  stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
   auto sent = transport_.take_sent();
@@ -482,11 +464,11 @@ TEST_F(ExecutionStageTest, DriftAtBoundAdmittedOnePastBoundFires) {
   // Exactly at the drift bound: seq = stable_basis + window is legal.
   CommittedBatch at_bound = batch(41, {41});
   at_bound.stable_basis = 1;
-  stage_->submit(std::move(at_bound));
+  stage_->admit(std::move(at_bound));
   // One past the bound violates §3.4's checkpoint-window drift invariant.
   CommittedBatch past_bound = batch(42, {42});
   past_bound.stable_basis = 1;
-  stage_->submit(std::move(past_bound));
+  stage_->admit(std::move(past_bound));
   ASSERT_TRUE(wait_stats([](const ExecutionStats&) {
     return g_invariant_fires.load() >= 1;
   }));
@@ -504,7 +486,7 @@ TEST_F(ExecutionStageTest, SequentialWrapAroundExecutesEverything) {
   constexpr SeqNum kTotal = 300;
   constexpr SeqNum kChunk = 100;
   for (SeqNum s = 1; s <= kTotal; ++s) {
-    stage_->submit(batch(s, {static_cast<RequestId>(s)}));
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
     if (s % kChunk == 0) ASSERT_TRUE(wait_replies(s, /*ms=*/10'000)) << s;
   }
   ASSERT_TRUE(wait_replies(kTotal, /*ms=*/10'000));
@@ -513,22 +495,6 @@ TEST_F(ExecutionStageTest, SequentialWrapAroundExecutesEverything) {
   EXPECT_EQ(stats.requests_executed, kTotal);
   EXPECT_EQ(stats.last_executed_seq, kTotal);
   EXPECT_EQ(stats.reorder_slot_drops, 0u);
-}
-
-TEST_F(ExecutionStageTest, RepliesCarryVerifiableMac) {
-  start();
-  stage_->submit(batch(1, {9}));
-  ASSERT_TRUE(wait_replies(1));
-  stage_->stop();
-  auto sent = transport_.take_sent();
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].to, client_node(1001));
-  auto decoded = decode_message(sent[0].frame);
-  ASSERT_TRUE(decoded);
-  const auto& reply = std::get<Reply>(decoded->msg);
-  ByteSpan body{sent[0].frame.data(), decoded->body_size};
-  EXPECT_TRUE(reply.auth.verify(*crypto_, replica_node(1),
-                                client_node(1001), body));
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(MetricsQueue, TryPushCountsBlockedLikePush) {
 
   // A full queue rejects — and must count, exactly like push counts its
   // full-queue waits, or dashboards undercount backpressure wherever the
-  // caller uses the non-blocking fallback (reply offload, gap polls).
+  // caller uses the non-blocking path (e.g. a client Inbox's try_deliver).
   EXPECT_FALSE(q.try_push(2));
   EXPECT_EQ(blocked.value(), 1u);
 
@@ -316,9 +316,8 @@ TEST(MetricsCluster, ClusterRunProducesSeriesAndReconstructibleTrace) {
       committed = true;
   EXPECT_TRUE(committed) << "no commit for seq " << execute->seq;
 
-  // Offloaded replies (paper §4.3.2): the egress event is stamped by the
-  // originating pillar with the real (pillar, seq) join key — it used to
-  // emit pillar=0, seq=0 for every reply, breaking trace joins.
+  // The egress event carries the (pillar, seq) join key of the instance
+  // the request executed in; pillar=0, seq=0 would break trace joins.
   bool egress = false;
   for (const auto& e : events) {
     if (e.point != trace::Point::kReplyEgress || e.client != cid ||

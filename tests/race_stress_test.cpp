@@ -19,7 +19,6 @@
 #include "app/null_service.hpp"
 #include "common/queue.hpp"
 #include "core/execution_stage.hpp"
-#include "core/outbound.hpp"
 #include "support/fake_transport.hpp"
 
 namespace copbft::test {
@@ -101,14 +100,10 @@ TEST(RaceStress, BoundedQueueCloseRacesWithWaiters) {
 }
 
 // Four threads play the pillars of one replica: each commits its own
-// sequence slice c(p,i) = p + i*NP out of order-of-arrival, the execution
-// stage re-serializes, executes, and offloads each reply back to the
-// originating pillar's reply lane, where a consumer thread seals and
-// sends it (the exec -> pillar reply path of paper §4.3.2). The lanes are
-// deliberately small so the stage's inline fallback interleaves with the
-// offloaded path under contention. A bystander thread polls the
-// stats/next_seq accessors the whole time, the way tests and monitoring
-// do.
+// sequence slice c(p,i) = p + i*NP out of order-of-arrival, and the
+// execution stage re-serializes, executes, seals and sends every reply. A
+// bystander thread polls the stats/next_seq accessors the whole time, the
+// way tests and monitoring do.
 TEST(RaceStress, PillarsToExecutionStageToOutbound) {
   constexpr std::uint32_t kPillars = 4;
   constexpr SeqNum kPerPillar = 1'000;
@@ -146,32 +141,6 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
     }
   });
 
-  // Reply lanes: one small queue + consumer thread per pillar, the way
-  // CopReplica routes ReplyTasks into the pillars' event queues.
-  std::vector<std::unique_ptr<BoundedQueue<ReplyTask>>> reply_lanes;
-  for (std::uint32_t p = 0; p < kPillars; ++p)
-    reply_lanes.push_back(std::make_unique<BoundedQueue<ReplyTask>>(64));
-  std::atomic<std::uint64_t> offloaded{0};
-  stage.set_reply_fn([&](ReplyTask& task) {
-    return reply_lanes[task.pillar]->try_push_ref(task);
-  });
-  std::vector<std::jthread> repliers;
-  for (std::uint32_t p = 0; p < kPillars; ++p) {
-    repliers.emplace_back([&, p] {
-      while (auto task = reply_lanes[p]->pop()) {
-        EXPECT_EQ(task->pillar, p);
-        EXPECT_EQ(task->seq % kPillars, p) << "originating-pillar routing";
-        protocol::Message msg =
-            protocol::Reply{task->view,    task->client, task->request,
-                            /*replica=*/0, std::move(task->result), {}};
-        Bytes frame = seal_message(msg, *crypto, replica_node(0),
-                                   {client_node(task->client)});
-        transport.send(client_node(task->client), /*lane=*/0,
-                       std::move(frame));
-        offloaded.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
   stage.start();
 
   std::atomic<bool> done{false};
@@ -207,7 +176,7 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
           // is always inside the window authorized by its checkpoint.
           const SeqNum basis =
               seq > config.protocol.window ? seq - config.protocol.window : 0;
-          stage.submit(CommittedBatch{seq, 0, requests, p, basis});
+          stage.admit(CommittedBatch{seq, 0, requests, p, basis});
         }
       });
     }
@@ -232,20 +201,13 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
   pump.join();
   done.store(true, std::memory_order_relaxed);
   stage.stop();
-  // Drain the reply lanes before counting: offloaded tasks may still be
-  // in flight after the stage thread exits.
-  for (auto& lane : reply_lanes) lane->close();
-  repliers.clear();  // join repliers
 
   ExecutionStats stats = stage.stats();
   EXPECT_EQ(stats.last_executed_seq, last_seq);
   EXPECT_EQ(stats.requests_executed, last_seq);
   EXPECT_EQ(checkpoint_commands.load(), expected_checkpoints);
-  EXPECT_EQ(transport.sent_count(), last_seq)
-      << "one reply per request, offloaded or inline";
+  EXPECT_EQ(transport.sent_count(), last_seq) << "one reply per request";
   EXPECT_EQ(stats.replies_sent, last_seq);
-  EXPECT_EQ(stats.replies_offloaded, offloaded.load());
-  EXPECT_GT(offloaded.load(), 0u) << "offload path never exercised";
 }
 
 // Checkpoint install truncating the reorder ring while every pillar is
@@ -298,7 +260,7 @@ TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
       req.id = static_cast<RequestId>(s);
       req.payload = to_bytes("x");
       requests->push_back(std::move(req));
-      donor.submit(CommittedBatch{s, 0, requests, 0});
+      donor.admit(CommittedBatch{s, 0, requests, 0});
     }
     {
       std::unique_lock lock(mutex);
@@ -353,7 +315,7 @@ TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
           requests->push_back(std::move(req));
           const SeqNum basis =
               seq > config.protocol.window ? seq - config.protocol.window : 0;
-          stage.submit(CommittedBatch{seq, 0, requests, p, basis});
+          stage.admit(CommittedBatch{seq, 0, requests, p, basis});
         }
       });
     }

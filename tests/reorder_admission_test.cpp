@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <deque>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -32,9 +31,9 @@ constexpr SeqNum kSeqs = 120;  // 12 checkpoint intervals, < ring capacity
 
 /// Everything observable about one run, in a directly comparable shape.
 struct RunRecord {
-  /// (seq, client, request id) per emitted reply, in emission order —
-  /// fresh executions and cached retransmissions alike.
-  std::vector<std::tuple<SeqNum, ClientId, RequestId>> replies;
+  /// (client, request id, result) per reply frame, in send order — fresh
+  /// executions and cached retransmissions alike.
+  std::vector<std::tuple<ClientId, RequestId, Bytes>> replies;
   /// Commands each pillar picked up from its polls, in pickup order:
   /// (pillar, kind, seq, frontier) with kind 0 = StartCheckpoint
   /// (frontier field reused for the digest's first word) and 1 = FillGap.
@@ -90,17 +89,12 @@ class AdmissionRun {
     service_ = std::make_unique<app::NullService>(4);
     stage_ = std::make_unique<ExecutionStage>(/*self=*/1, config_, *service_,
                                               *crypto_, transport_);
-    stage_->set_reply_fn([this](ReplyTask& task) {
-      std::lock_guard lock(mutex_);
-      record_.replies.emplace_back(task.seq, task.client, task.request);
-      return true;
-    });
     stage_->start();
   }
 
   ~AdmissionRun() { stage_->stop(); }
 
-  void submit(SeqNum seq) { stage_->submit(make_batch(content_seed_, seq)); }
+  void admit(SeqNum seq) { stage_->admit(make_batch(content_seed_, seq)); }
 
   /// One poll round at virtual time `now_us`, all pillars in index order,
   /// appending what each picked up to the record.
@@ -132,7 +126,16 @@ class AdmissionRun {
   }
 
   RunRecord finish() {
-    std::lock_guard lock(mutex_);
+    for (const FakeTransport::Sent& sent : transport_.take_sent()) {
+      auto decoded = decode_message(sent.frame);
+      const Reply* reply =
+          decoded ? std::get_if<Reply>(&decoded->msg) : nullptr;
+      if (!reply) {
+        ADD_FAILURE() << "stage sent a frame that is not a Reply";
+        continue;
+      }
+      record_.replies.emplace_back(reply->client, reply->id, reply->result);
+    }
     record_.stats = stage_->stats();
     return std::move(record_);
   }
@@ -144,7 +147,6 @@ class AdmissionRun {
   std::unique_ptr<app::NullService> service_;
   FakeTransport transport_;
   std::unique_ptr<ExecutionStage> stage_;
-  std::mutex mutex_;
   RunRecord record_;
 };
 
@@ -164,7 +166,7 @@ RunRecord run_scenario(std::uint64_t content_seed, std::uint64_t order_seed,
   AdmissionRun run(content_seed);
   if (order_seed == 0) {
     for (SeqNum s = 1; s <= kSeqs; ++s)
-      if (s != withheld) run.submit(s);
+      if (s != withheld) run.admit(s);
   } else {
     Rng rng(order_seed);
     std::vector<std::uint32_t> nonempty;
@@ -174,7 +176,7 @@ RunRecord run_scenario(std::uint64_t content_seed, std::uint64_t order_seed,
         if (!slices[p].empty()) nonempty.push_back(p);
       if (nonempty.empty()) break;
       auto& slice = slices[nonempty[rng.below(nonempty.size())]];
-      run.submit(slice.front());
+      run.admit(slice.front());
       slice.pop_front();
     }
   }
@@ -188,7 +190,7 @@ RunRecord run_scenario(std::uint64_t content_seed, std::uint64_t order_seed,
   run.poll_all(2'000);
   run.poll_all(2'000 + 10'000);
 
-  run.submit(withheld);
+  run.admit(withheld);
   EXPECT_TRUE(run.wait_frontier(kSeqs + 1));
   // Final poll drains the checkpoint signals mailed during the full
   // drain; the frontier moved, so no further fills fire.

@@ -135,7 +135,7 @@ class InstallTest : public ::testing::Test {
           snapshots_.record(seq, digest, std::move(artifact));
         });
     donor_->start();
-    for (SeqNum s = 1; s <= upto; ++s) donor_->submit(put_batch(s));
+    for (SeqNum s = 1; s <= upto; ++s) donor_->admit(put_batch(s));
     EXPECT_TRUE(snapshots_.wait_count(upto / 10));
     std::lock_guard lock(snapshots_.mutex);
     return snapshots_.taken.back();
@@ -185,7 +185,7 @@ TEST_F(InstallTest, InstallAdvancesFrontierAndResumesExecution) {
   start_laggard();
 
   // The laggard buffered a batch beyond its frontier; nothing executes.
-  laggard_->submit(put_batch(12));
+  laggard_->admit(put_batch(12));
   ASSERT_TRUE(install(*laggard_, seq, digest, std::move(artifact)));
   EXPECT_EQ(laggard_->next_seq(), 11u);
   EXPECT_EQ(laggard_->stats().state_installs, 1u);
@@ -194,7 +194,7 @@ TEST_F(InstallTest, InstallAdvancesFrontierAndResumesExecution) {
   EXPECT_EQ(laggard_service_->state_digest(), donor_service_->state_digest());
 
   // Execution resumes: seq 11 closes the gap to the buffered seq 12.
-  laggard_->submit(put_batch(11));
+  laggard_->admit(put_batch(11));
   for (int spin = 0; spin < 200 && laggard_->next_seq() < 13; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(laggard_->next_seq(), 13u);
@@ -211,7 +211,7 @@ TEST_F(InstallTest, InstalledClientTableSuppressesReExecution) {
   // suppressed instead of double-executed.
   auto requests = std::make_shared<std::vector<Request>>();
   requests->push_back(kv_put(1001, 7, "key-1", "value-7"));
-  laggard_->submit(CommittedBatch{11, 0, requests, 0});
+  laggard_->admit(CommittedBatch{11, 0, requests, 0});
   for (int spin = 0; spin < 200 && laggard_->next_seq() < 12; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(laggard_->stats().duplicates_suppressed, 1u);
@@ -314,7 +314,7 @@ class ManagerTest : public ::testing::Test {
       auto requests = std::make_shared<std::vector<Request>>();
       requests->push_back(kv_put(1001, s, "key-" + std::to_string(s),
                                  "value-" + std::to_string(s)));
-      donor.submit(CommittedBatch{s, 0, requests,
+      donor.admit(CommittedBatch{s, 0, requests,
                                   static_cast<std::uint32_t>(s % 2)});
     }
     EXPECT_TRUE(snapshots.wait_count(1));

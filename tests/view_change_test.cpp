@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
+#include "app/null_service.hpp"
+#include "core/execution_stage.hpp"
+#include "core/outbound.hpp"
+#include "core/outbound_sink.hpp"
+#include "core/pillar.hpp"
 #include "support/core_harness.hpp"
+#include "support/fake_transport.hpp"
 
 namespace copbft::test {
 namespace {
@@ -205,6 +214,55 @@ TEST(ViewChange, NormalOperationResumesInNewView) {
         EXPECT_EQ(got[i].requests[j].key(), reference[i].requests[j].key());
     }
   }
+}
+
+TEST(ViewChange, PillarWhoseFirstFrameIsAProposalStartsNoViewChange) {
+  // The proposal is queued before the follower pillar's thread starts, so
+  // it is the first thing the pillar handles: its core must not read the
+  // time since boot as a stalled instance.
+  core::ReplicaRuntimeConfig config;
+  config.num_pillars = 1;
+  config.protocol.num_pillars = 1;
+  config.protocol.batching = false;
+  auto crypto = crypto::make_real_crypto(5);
+
+  // The view-0 leader (replica 0) proposes one client-signed request.
+  Request req{kClientIdBase, 1, 0, to_bytes("op"), {}};
+  std::vector<crypto::KeyNodeId> replicas;
+  for (ReplicaId r = 0; r < config.protocol.num_replicas; ++r)
+    replicas.push_back(replica_node(r));
+  req.auth = crypto::Authenticator::build(
+      *crypto, client_node(req.client), replicas,
+      ByteSpan{request_authenticated_bytes(req)});
+  CryptoVerifier leader_verifier(*crypto, replica_node(0));
+  PbftCore leader(config.protocol, 0, SeqSlice{0, 1}, leader_verifier,
+                  *crypto);
+  leader.on_request(req, /*now_us=*/1, /*verified=*/true);
+  Bytes proposal;
+  for (Effect& effect : leader.take_effects())
+    if (auto* bc = std::get_if<Broadcast>(&effect))
+      if (std::holds_alternative<PrePrepare>(bc->msg))
+        proposal = core::seal_message(
+            bc->msg, *crypto, replica_node(0),
+            core::other_replicas(config.protocol.num_replicas, 0));
+  ASSERT_FALSE(proposal.empty()) << "leader did not propose";
+
+  FakeTransport transport;
+  app::NullService service;
+  core::ExecutionStage exec(/*self=*/1, config, service, *crypto, transport);
+  core::InPlaceOutbound outbound(/*self=*/1, config.protocol.num_replicas,
+                                 *crypto, transport);
+  core::Pillar pillar(/*self=*/1, /*index=*/0, config, *crypto, exec,
+                      outbound, &service, nullptr);
+  ASSERT_TRUE(pillar.deliver(
+      transport::ReceivedFrame{replica_node(0), 0, std::move(proposal)}));
+  pillar.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  pillar.stop();
+
+  const CoreStats stats = pillar.core_stats();
+  EXPECT_EQ(stats.view_changes_started, 0u);
+  EXPECT_GT(transport.sent_count(), 0u) << "the proposal was not accepted";
 }
 
 }  // namespace
