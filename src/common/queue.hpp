@@ -54,32 +54,14 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push; returns false when full or closed.
-  bool try_push(T value) {
-    {
-      MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) {
-        // Count full-queue rejections like push counts full-queue waits
-        // (closed is shutdown, not backpressure): the try_push callers
-        // are exactly the ones whose fallback path this counter exists
-        // to explain.
-        if (!closed_ && blocked_pushes_) blocked_pushes_->add();
-        return false;
-      }
-      items_.push_back(std::move(value));
-      publish_depth();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push that leaves `value` untouched on failure, so the
-  /// caller can fall back to handling it locally (e.g. the execution
-  /// stage sending a reply inline when a pillar's queue is saturated).
-  /// `count_blocked=false` suppresses the blocked-push counter: transport
-  /// admission probes a full queue as a matter of course (kBusy means
-  /// "requeue at ingress", not "a stage thread stalled") and must not
-  /// masquerade as pillar-side backpressure in the metrics.
+  /// Non-blocking push; returns false when full or closed and then leaves
+  /// `value` untouched, so the caller keeps it (e.g. a transport lane
+  /// requeues a frame at ingress). A full-queue rejection counts as a
+  /// blocked push, like push's full-queue waits (closed is shutdown, not
+  /// backpressure). `count_blocked=false` suppresses the counter:
+  /// transport admission probes a full queue as a matter of course
+  /// (kBusy means "requeue at ingress", not "a stage thread stalled") and
+  /// must not masquerade as pillar-side backpressure in the metrics.
   bool try_push_ref(T& value, bool count_blocked = true) {
     {
       MutexLock lock(mutex_);
@@ -135,19 +117,6 @@ class BoundedQueue {
     lock.unlock();
     not_full_.notify_one();
     return value;
-  }
-
-  /// Pops everything currently queued (blocking until at least one element
-  /// or close). Reduces wake-ups for batch-style consumers.
-  std::deque<T> pop_all() {
-    CvLock lock(mutex_);
-    while (!closed_ && items_.empty()) not_empty_.wait(lock);
-    std::deque<T> out;
-    out.swap(items_);
-    publish_depth();
-    lock.unlock();
-    not_full_.notify_all();
-    return out;
   }
 
   void close() {

@@ -1,5 +1,7 @@
 #include "core/cop_replica.hpp"
 
+#include <stdexcept>
+
 namespace copbft::core {
 
 CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
@@ -12,6 +14,9 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
       transport_(transport),
       outbound_(self, config_.protocol.num_replicas, crypto, transport),
       exec_(self, config_, *service_, crypto, transport) {
+  if (config_.num_pillars != config_.protocol.num_pillars)
+    throw std::invalid_argument(
+        "COP replica needs num_pillars == protocol.num_pillars");
   // Laggard recovery: the manager serves the artifacts the execution
   // stage produces and, when a pillar reports being stranded, fetches and
   // installs a peer checkpoint, then slides every pillar's window to it.
@@ -29,6 +34,10 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
     state_->store_checkpoint(seq, digest, std::move(artifact));
   });
   transport_.register_sink(state_->lane(), state_);
+  // Checkpoint rounds and gap fills go to the pillar they name.
+  exec_.set_command_fn([this](std::uint32_t pillar, PillarCommand command) {
+    pillars_[pillar]->post_command(std::move(command));
+  });
 
   // Checkpoint stability found by one pillar is fanned out to siblings so
   // all of them can truncate logs and stay within the drift bound; the

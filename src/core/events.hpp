@@ -13,10 +13,10 @@ namespace copbft::core {
 
 // ---- pillar bookkeeping commands ------------------------------------------
 //
-// With pre-execution offload (paper §4.3.1) these are no longer pushed by
-// the execution stage: each pillar picks up its own share — checkpoint
-// rounds it owns, gap fills for its slice — via
-// ExecutionStage::poll_pillar() and feeds them to its handle_command.
+// Pushed onto a pillar's command queue (Pillar::post_command):
+// StartCheckpoint and FillGap by the execution stage, NoteStable by
+// sibling pillars and the state-transfer manager, FetchMissing by the
+// state-transfer manager.
 
 /// Execution crossed a checkpoint boundary owned by this logic unit; run
 /// the checkpoint agreement (paper §4.2.2).
@@ -34,11 +34,11 @@ struct NoteStable {
 
 /// The total order is stalled waiting for sequence numbers up to `seq`;
 /// fill this slice's share with pending requests or no-ops (paper §4.2.1).
-/// Self-addressed: each pillar times its own stall and requests fills for
-/// its own slice only. `frontier` is the execution stage's next needed
-/// sequence number (0 = unknown) — the core uses it to detect that the
-/// needed certificates were already truncated cluster-wide
-/// (state-transfer trigger).
+/// The execution stage times the stall and sends one to every pillar.
+/// `frontier` is the execution stage's next needed sequence number
+/// (0 = unknown) — the core uses it to detect that the needed
+/// certificates were already truncated cluster-wide (state-transfer
+/// trigger).
 struct FillGap {
   protocol::SeqNum seq = 0;
   protocol::SeqNum frontier = 0;

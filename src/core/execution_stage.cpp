@@ -17,174 +17,35 @@ namespace {
 constexpr std::size_t kReplyCachePerClient = 32;
 constexpr std::uint64_t kDedupWindow = 4096;
 
-// Slot state encoding (see ReorderRing in the header).
-constexpr std::uint64_t slot_published(protocol::SeqNum seq) {
-  return static_cast<std::uint64_t>(seq) << 1;
-}
-constexpr std::uint64_t slot_claimed(protocol::SeqNum seq) {
-  return (static_cast<std::uint64_t>(seq) << 1) | 1;
-}
-
-/// FNV-1a over the request keys. Two commits for the same sequence number
-/// must carry the same batch; a fingerprint mismatch on a duplicate means
-/// the total order forked. The stored fingerprint lets any pillar run the
-/// check against a slot another pillar published without touching the
-/// (non-atomic) payload.
-std::uint64_t batch_hash(const CommittedBatch& b) {
-  std::uint64_t h = 1469598103934665603ULL;
-  if (!b.requests) return h;
-  for (const auto& r : *b.requests) {
-    std::uint64_t k = r.key();
-    for (int i = 0; i < 8; ++i) {
-      h ^= (k >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-/// (request count << 1) | is_noop — the cheap half of the fingerprint.
-std::uint64_t batch_meta(const CommittedBatch& b) {
-  const bool noop = !b.requests || b.requests->empty();
-  const std::uint64_t n = noop ? 0 : b.requests->size();
-  return (n << 1) | (noop ? 1 : 0);
-}
-
 std::string exec_metric(ReplicaId self, const char* name) {
   return "replica" + std::to_string(self) + ".exec." + name;
 }
 
 /// Live sequence numbers span at most [frontier, stable + window]; the
 /// frontier can itself trail stability, so 2x window plus slack covers
-/// every buffered seq with distinct slots. Clamped so a pathological
-/// window cannot exhaust memory — collisions are then legal and resolved
-/// by publish().
-std::size_t ring_slots(std::uint64_t window) {
+/// every commit worth buffering. Clamped so a pathological window cannot
+/// exhaust memory.
+protocol::SeqNum reorder_span(std::uint64_t window) {
   const std::uint64_t want = 2 * window + 2;
-  std::size_t n = 64;
-  while (n < want && n < (std::size_t{1} << 20)) n <<= 1;
+  protocol::SeqNum n = 64;
+  while (n < want && n < (protocol::SeqNum{1} << 20)) n <<= 1;
   return n;
 }
 
+/// Two commits for one sequence number must carry the same batch: the
+/// same no-op flag and the same request keys, in order.
+bool same_batch(const CommittedBatch& a, const CommittedBatch& b) {
+  const bool a_noop = !a.requests || a.requests->empty();
+  const bool b_noop = !b.requests || b.requests->empty();
+  if (a_noop || b_noop) return a_noop == b_noop;
+  return std::equal(a.requests->begin(), a.requests->end(),
+                    b.requests->begin(), b.requests->end(),
+                    [](const protocol::Request& x, const protocol::Request& y) {
+                      return x.key() == y.key();
+                    });
+}
+
 }  // namespace
-
-// --------------------------------------------------------------------------
-// ReorderRing — lock-free slot ring, one pillar writer per slot (slice
-// partition), single consumer (the stage thread).
-
-ExecutionStage::ReorderRing::ReorderRing(std::uint64_t window)
-    : slots_(ring_slots(window)), mask_(slots_.size() - 1) {}
-
-COP_HOT ExecutionStage::ReorderRing::PublishResult
-ExecutionStage::ReorderRing::publish(CommittedBatch&& batch,
-                                     protocol::SeqNum frontier,
-                                     std::uint64_t hash, std::uint64_t meta) {
-  Slot& s = slots_[index(batch.seq)];
-  const std::uint64_t mine_pub = slot_published(batch.seq);
-  const std::uint64_t mine_claim = slot_claimed(batch.seq);
-  std::uint64_t cur = s.state.load(std::memory_order_seq_cst);
-  while (true) {
-    if (cur == mine_pub) {
-      // Redelivery of a seq someone already published. Read the stored
-      // fingerprint and validate it by re-reading the state word: if the
-      // slot changed under us (consumed/reclaimed mid-read), the
-      // fingerprint may belong to another batch and the check is skipped.
-      PublishResult res;
-      res.outcome = Outcome::kDuplicate;
-      res.stored_hash = s.hash.load(std::memory_order_relaxed);
-      res.stored_meta = s.meta.load(std::memory_order_relaxed);
-      res.fingerprint_valid =
-          s.state.load(std::memory_order_seq_cst) == mine_pub;
-      return res;
-    }
-    if (cur == mine_claim) {
-      // Another writer is mid-publishing the same seq (concurrent
-      // redelivery); nothing to verify yet.
-      return {Outcome::kDuplicate, false, 0, 0};
-    }
-    if (cur == 0) {
-      if (!s.state.compare_exchange_strong(cur, mine_claim,
-                                           std::memory_order_seq_cst))
-        continue;  // cur reloaded
-      s.hash.store(hash, std::memory_order_relaxed);
-      s.meta.store(meta, std::memory_order_relaxed);
-      s.batch.emplace(std::move(batch));
-      count_.fetch_add(1, std::memory_order_relaxed);
-      s.state.store(mine_pub, std::memory_order_seq_cst);
-      return {Outcome::kStored, false, 0, 0};
-    }
-    if (cur & 1) {
-      // Claimed by a writer for a *different* seq — only reachable when
-      // distinct live seqs collide on one slot (clamped ring). Drop ours;
-      // gap detection re-fetches it.
-      return {Outcome::kDroppedSelf, false, 0, 0};
-    }
-    const protocol::SeqNum occupant = cur >> 1;
-    if (occupant < frontier) {
-      // Stale leftover below the execution frontier (e.g. dropped by a
-      // checkpoint install sweep that lost its CAS): reclaim in place.
-      if (!s.state.compare_exchange_strong(cur, mine_claim,
-                                           std::memory_order_seq_cst))
-        continue;
-      s.hash.store(hash, std::memory_order_relaxed);
-      s.meta.store(meta, std::memory_order_relaxed);
-      s.batch.emplace(std::move(batch));  // destroys the stale payload
-      s.state.store(mine_pub, std::memory_order_seq_cst);
-      return {Outcome::kStored, false, 0, 0};
-    }
-    if (occupant < batch.seq) {
-      // Ring wrap-around with a live lower occupant: it executes first,
-      // keep it and drop ours; gap detection re-fetches.
-      return {Outcome::kDroppedSelf, false, 0, 0};
-    }
-    // Live higher occupant: evict it, ours executes first.
-    if (!s.state.compare_exchange_strong(cur, mine_claim,
-                                         std::memory_order_seq_cst))
-      continue;
-    s.hash.store(hash, std::memory_order_relaxed);
-    s.meta.store(meta, std::memory_order_relaxed);
-    s.batch.emplace(std::move(batch));
-    s.state.store(mine_pub, std::memory_order_seq_cst);
-    return {Outcome::kEvictedOther, false, 0, 0};
-  }
-}
-
-COP_HOT std::optional<CommittedBatch> ExecutionStage::ReorderRing::take(
-    protocol::SeqNum seq) {
-  Slot& s = slots_[index(seq)];
-  std::uint64_t want = slot_published(seq);
-  if (s.state.load(std::memory_order_seq_cst) != want) return std::nullopt;
-  // Claim before moving the payload out: writer CASes expect `published`
-  // and fail while we hold the claim, so eviction/reclaim can never race
-  // the move.
-  if (!s.state.compare_exchange_strong(want, slot_claimed(seq),
-                                       std::memory_order_seq_cst))
-    return std::nullopt;
-  std::optional<CommittedBatch> out = std::move(s.batch);
-  s.batch.reset();
-  count_.fetch_sub(1, std::memory_order_relaxed);
-  // Freed before the caller advances next_seq, so the slot is reusable by
-  // the time any writer can consider this seq stale.
-  s.state.store(0, std::memory_order_seq_cst);
-  return out;
-}
-
-void ExecutionStage::ReorderRing::discard_upto(protocol::SeqNum upto) {
-  for (Slot& s : slots_) {
-    std::uint64_t cur = s.state.load(std::memory_order_seq_cst);
-    if (cur == 0 || (cur & 1)) continue;  // free, or a writer owns it
-    const protocol::SeqNum occupant = cur >> 1;
-    if (occupant > upto) continue;
-    if (!s.state.compare_exchange_strong(cur, slot_claimed(occupant),
-                                         std::memory_order_seq_cst))
-      continue;  // republished concurrently; the writer self-heals later
-    s.batch.reset();
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    s.state.store(0, std::memory_order_seq_cst);
-  }
-}
-
-// --------------------------------------------------------------------------
 
 ExecutionStage::ExecutionStage(ReplicaId self,
                                const ReplicaRuntimeConfig& config,
@@ -196,11 +57,8 @@ ExecutionStage::ExecutionStage(ReplicaId self,
       service_(service),
       crypto_(crypto),
       transport_(transport),
-      reorder_(config.protocol.window),
-      lanes_(new PillarLane[std::max<std::uint32_t>(config.num_pillars, 1)]),
-      ckpt_mail_(
-          new CkptMailbox[std::max<std::uint32_t>(config.num_pillars, 1)]),
-      install_queue_(config.queue_capacity),
+      span_(reorder_span(config.protocol.window)),
+      inbox_(config.queue_capacity),
       m_reorder_depth_(metrics::MetricsRegistry::global().gauge(
           exec_metric(self, "reorder_depth"))),
       m_drift_(
@@ -213,9 +71,7 @@ ExecutionStage::ExecutionStage(ReplicaId self,
           exec_metric(self, "replies_sent"))),
       m_execute_us_(metrics::MetricsRegistry::global().histogram(
           exec_metric(self, "execute_us"))) {
-  // Commit admission no longer queues; the instrumented queue is the
-  // (rare) state-transfer install lane.
-  install_queue_.instrument(
+  inbox_.instrument(
       metrics::MetricsRegistry::global().gauge(exec_metric(self, "queue_depth")),
       metrics::MetricsRegistry::global().counter(
           exec_metric(self, "queue_blocked_pushes")));
@@ -226,16 +82,16 @@ void ExecutionStage::start() {
 }
 
 void ExecutionStage::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  install_queue_.close();
-  wake_exec();
+  inbox_.close();
   if (thread_.joinable()) thread_.join();
 }
 
+bool ExecutionStage::admit(CommittedBatch batch) {
+  return inbox_.push(Input{std::move(batch)});
+}
+
 bool ExecutionStage::submit_install(InstallState install) {
-  const bool ok = install_queue_.push(std::move(install));
-  wake_exec();
-  return ok;
+  return inbox_.push(Input{std::move(install)});
 }
 
 ExecutionStats ExecutionStage::stats() const {
@@ -260,52 +116,44 @@ ExecutionStats ExecutionStage::stats() const {
   return out;
 }
 
-void ExecutionStage::wake_exec() {
-  {
-    MutexLock lock(wake_mutex_);
-    wake_pending_ = true;
-  }
-  wake_cv_.notify_one();
-}
-
 void ExecutionStage::run() {
-  // The wait below is a fallback heartbeat, not the main wake path:
-  // pillars notify whenever they publish the execution frontier. It still
-  // bounds the stage's reaction to events with no publish edge (e.g. an
-  // install that unblocks an already-buffered frontier on a quiet system).
+  // The timed wait bounds how late a gap stall is noticed when no input
+  // arrives.
   const auto poll = std::chrono::microseconds(
       std::max<std::uint64_t>(config_.gap_timeout_us / 2, 500));
+  const auto handle = [this](Input input) {
+    if (auto* batch = std::get_if<CommittedBatch>(&input)) {
+      buffer(std::move(*batch));
+    } else {
+      handle_install(std::move(std::get<InstallState>(input)));
+    }
+  };
   while (true) {
-    while (auto install = install_queue_.try_pop())
-      handle_install(std::move(*install));
+    auto input = inbox_.pop_for(poll);
+    if (!input && inbox_.closed()) return;
+    if (input) {
+      handle(std::move(*input));
+      while (auto more = inbox_.try_pop()) handle(std::move(*more));
+    }
     apply_ready();
-    if (stop_requested_.load(std::memory_order_acquire) &&
-        install_queue_.empty())
-      return;
-    CvLock lock(wake_mutex_);
-    if (!wake_pending_) wake_cv_.wait_for(lock, poll);
-    wake_pending_ = false;
+    check_gap(now_us());
   }
 }
 
-COP_HOT bool ExecutionStage::admit(CommittedBatch batch) {
+COP_HOT void ExecutionStage::buffer(CommittedBatch batch) {
   const std::uint32_t np = config_.num_pillars;
   COP_INVARIANT(batch.seq != 0,
                 "sequence number 0 is genesis and must never commit "
                 "(pillar %u)",
                 batch.pillar);
   // Paper §4.2.1: pillar p owns exactly the numbers c(p,i) = p + i*NP.
-  // This partition is also what makes pillar-side admission single-writer
-  // per ring slot: distinct pillars can never contend on a live slot.
   COP_INVARIANT(batch.pillar < np && batch.seq % np == batch.pillar,
                 "seq %llu delivered by pillar %u breaks the c(p,i)=p+i*NP "
                 "partition (NP=%u)",
                 static_cast<unsigned long long>(batch.seq), batch.pillar, np);
 
-  // seq_cst pairs with take()/apply_ready: any occupant below this
-  // snapshot is no longer consumable by the stage and is safe to reclaim.
-  const protocol::SeqNum frontier = next_seq_.load(std::memory_order_seq_cst);
-  if (batch.seq < frontier) return true;  // stale redelivery
+  const protocol::SeqNum frontier = next_seq_.load(std::memory_order_relaxed);
+  if (batch.seq < frontier) return;  // stale redelivery
 
   // Paper §3.4/§4.2.2: commits may only run `window` past the stable
   // checkpoint. The bound is checked against the emitting core's stable
@@ -321,116 +169,72 @@ COP_HOT bool ExecutionStage::admit(CommittedBatch batch) {
       static_cast<unsigned long long>(config_.protocol.window));
 
   const protocol::SeqNum seq = batch.seq;
-  const auto view = batch.view;
-  const std::uint32_t pillar = batch.pillar < np ? batch.pillar : 0;
-  const std::uint64_t hash = batch_hash(batch);
-  const std::uint64_t meta = batch_meta(batch);
+  // A dropped commit still counts as admitted: the gap check must see the
+  // stall it leaves, which is what sends a lagging replica to state
+  // transfer.
+  highest_admitted_ = std::max(highest_admitted_, seq);
   m_drift_.set(static_cast<std::int64_t>(seq - batch.stable_basis));
-
-  const auto res = reorder_.publish(std::move(batch), frontier, hash, meta);
-  switch (res.outcome) {
-    case ReorderRing::Outcome::kDuplicate:
-      // A duplicate commit is tolerated, a conflicting one is a fork: two
-      // different batches for one slot can not both enter the total order.
-      if (res.fingerprint_valid) {
-        COP_INVARIANT(res.stored_hash == hash && res.stored_meta == meta,
-                      "conflicting commits for seq %llu: the total order "
-                      "would fork or leave a hole",
-                      static_cast<unsigned long long>(seq));
-      }
-      break;
-    case ReorderRing::Outcome::kDroppedSelf:
-      n_reorder_slot_drops_.add();
-      break;
-    case ReorderRing::Outcome::kEvictedOther:
-      n_reorder_slot_drops_.add();
-      [[fallthrough]];
-    case ReorderRing::Outcome::kStored:
-      trace::point(trace::Point::kReorderEnter, self_, pillar, seq, view,
-                   /*client=*/0, /*request=*/0);
-      m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
-      break;
+  if (seq >= frontier + span_) {
+    n_reorder_slot_drops_.add();
+    return;
   }
 
-  // Slice admission watermark: the max seq this pillar has admitted (even
-  // when the ring dropped it — a dropped commit still needs re-fetching,
-  // which is exactly what the watermark-driven gap poll arranges). Single
-  // writer: only the owning pillar's thread stores it.
-  PillarLane& lane = lanes_[pillar];
-  if (seq > lane.watermark.load(std::memory_order_relaxed))
-    lane.watermark.store(seq, std::memory_order_release);
-
-  // Wake handshake (Dekker): the slot publish above and this next_seq
-  // load are both seq_cst, as are the stage's next_seq store and slot
-  // read — so either we observe the frontier and wake, or the stage's
-  // drain observes our publish. Waking only on the frontier edge is what
-  // keeps the stage's dequeue cost off the per-commit path.
-  if (res.outcome != ReorderRing::Outcome::kDroppedSelf &&
-      next_seq_.load(std::memory_order_seq_cst) == seq)
-    wake_exec();
-  return true;
+  const auto slot = reorder_.lower_bound(seq);
+  if (slot != reorder_.end() && slot->first == seq) {
+    // A duplicate commit is tolerated, a conflicting one is a fork: two
+    // different batches for one slot can not both enter the total order.
+    COP_INVARIANT(same_batch(slot->second, batch),
+                  "conflicting commits for seq %llu: the total order "
+                  "would fork or leave a hole",
+                  static_cast<unsigned long long>(seq));
+    return;
+  }
+  trace::point(trace::Point::kReorderEnter, self_, batch.pillar, seq,
+               batch.view, /*client=*/0, /*request=*/0);
+  reorder_.emplace_hint(slot, seq, std::move(batch));
+  m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
 }
 
-void ExecutionStage::poll_pillar(std::uint32_t pillar, std::uint64_t now_us,
-                                 std::vector<PillarCommand>& out) {
-  if (pillar >= config_.num_pillars) return;
-
-  // Checkpoint rounds this pillar owns (paper §4.2.2): drained here and
-  // fed to the pillar's own handle_command by the caller.
-  {
-    CkptMailbox& mail = ckpt_mail_[pillar];
-    MutexLock lock(mail.mutex);
-    for (const CkptSignal& sig : mail.pending)
-      out.push_back(StartCheckpoint{sig.seq, sig.digest});
-    mail.pending.clear();
-  }
-
-  // Slice-local gap tracking: the execution frontier is stalled when it
-  // stops moving while some pillar has admitted past it. Each pillar runs
-  // its own timer and requests fills for its own slice only.
-  PillarLane& lane = lanes_[pillar];
-  const protocol::SeqNum frontier = next_seq_.load(std::memory_order_seq_cst);
-  if (frontier != lane.last_frontier) {
-    lane.last_frontier = frontier;
-    lane.stall_since_us = 0;
+void ExecutionStage::check_gap(std::uint64_t now) {
+  const protocol::SeqNum frontier = next_seq_.load(std::memory_order_relaxed);
+  if (highest_admitted_ <= frontier) {
+    // Nothing admitted beyond the frontier: no gap.
+    stall_since_us_ = 0;
     return;
   }
-  protocol::SeqNum target = 0;
+  if (stall_since_us_ == 0 || frontier != stall_frontier_) {
+    stall_frontier_ = frontier;
+    stall_since_us_ = now;
+    return;
+  }
+  if (now - stall_since_us_ < config_.gap_timeout_us) return;
+  stall_since_us_ = now;
+  // Paper §4.2.1: every pillar fills its own slice up to the highest
+  // admitted seq with pending requests or no-ops.
   for (std::uint32_t p = 0; p < config_.num_pillars; ++p)
-    target = std::max(target, lanes_[p].watermark.load(
-                                  std::memory_order_acquire));
-  if (target <= frontier) {
-    // Nothing admitted beyond the frontier (== means the frontier itself
-    // is published and the stage is about to run it): no gap.
-    lane.stall_since_us = 0;
-    return;
-  }
-  if (lane.stall_since_us == 0) {
-    lane.stall_since_us = now_us;
-    return;
-  }
-  if (now_us - lane.stall_since_us < config_.gap_timeout_us) return;
-  lane.stall_since_us = now_us;
-  n_gap_fills_requested_.add();
-  out.push_back(FillGap{target, frontier});
+    post_command(p, FillGap{highest_admitted_, frontier});
+  n_gap_fills_requested_.add(config_.num_pillars);
+}
+
+void ExecutionStage::post_command(std::uint32_t pillar,
+                                  PillarCommand command) {
+  if (command_fn_) command_fn_(pillar, std::move(command));
 }
 
 COP_HOT void ExecutionStage::apply_ready() {
-  while (true) {
+  while (!reorder_.empty()) {
+    const auto ready = reorder_.begin();
     const protocol::SeqNum next = next_seq_.load(std::memory_order_relaxed);
-    std::optional<CommittedBatch> batch = reorder_.take(next);
-    if (!batch) break;
+    if (ready->first != next) break;
     {
       metrics::ScopedTimer timer(m_execute_us_);
-      execute_batch(*batch);
+      execute_batch(ready->second);
     }
+    reorder_.erase(ready);
     m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
     n_last_executed_seq_.set(next);
     maybe_checkpoint(next);
-    // seq_cst pairs with the pillars' publish/frontier-check handshake;
-    // take() already freed the slot, so a writer that sees this new
-    // frontier can immediately reuse it.
-    next_seq_.store(next + 1, std::memory_order_seq_cst);
+    next_seq_.store(next + 1, std::memory_order_release);
   }
 }
 
@@ -546,14 +350,10 @@ void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {
                                 service_.snapshot()};
     snapshot_fn_(seq, digest, artifact.encode());
   }
-  // Round-robin checkpoint ownership across pillars (paper §4.2.2): mail
-  // the frontier-crossing signal to the owner; its next poll_pillar()
-  // turns it into a StartCheckpoint on the owning pillar's own thread.
+  // Round-robin checkpoint ownership across pillars (paper §4.2.2).
   const std::uint32_t owner = static_cast<std::uint32_t>(
       (seq / config_.protocol.checkpoint_interval) % config_.num_pillars);
-  CkptMailbox& mail = ckpt_mail_[owner];
-  MutexLock lock(mail.mutex);
-  mail.pending.push_back(CkptSignal{seq, digest});
+  post_command(owner, StartCheckpoint{seq, digest});
 }
 
 // --------------------------------------------------------------------------
@@ -668,12 +468,10 @@ void ExecutionStage::handle_install(InstallState install) {
     return reject();
 
   clients_ = std::move(clients);
-  // Ring truncation races pillar writers: advance the frontier *first*
-  // (seq_cst), then sweep. A writer that published concurrently and lost
-  // the sweep's CAS left a below-frontier occupant, which any later
-  // publish to that slot reclaims in place — the ring self-heals.
-  next_seq_.store(install.seq + 1, std::memory_order_seq_cst);
-  reorder_.discard_upto(install.seq);
+  // Buffered commits the checkpoint covers are dropped unexecuted; later
+  // redeliveries of them are stale.
+  reorder_.erase(reorder_.begin(), reorder_.upper_bound(install.seq));
+  next_seq_.store(install.seq + 1, std::memory_order_release);
   m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
   installed_floor_ = install.seq;
   n_state_installs_.add();

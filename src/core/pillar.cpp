@@ -77,12 +77,6 @@ void Pillar::run() {
     // Commands are few but urgent (checkpoint stability slides the
     // window); drain them first.
     while (auto command = commands_.try_pop()) handle_command(*command);
-    // Pre-execution offload (paper §4.3.1): pick up this pillar's share
-    // of the bookkeeping the exec stage no longer does — checkpoint
-    // rounds it owns and gap fills for its slice.
-    poll_out_.clear();
-    exec_.poll_pillar(index_, now_us(), poll_out_);
-    for (PillarCommand& command : poll_out_) handle_command(command);
     if (event) {
       if (auto* frame = std::get_if<transport::ReceivedFrame>(&*event)) {
         handle_frame(*frame);
@@ -171,9 +165,6 @@ COP_HOT void Pillar::drain_effects() {
       outbound_.send_to(send->to, std::move(send->msg), index_);
     } else if (auto* deliver = std::get_if<protocol::Deliver>(&effect)) {
       m_instances_delivered_.add();
-      // Pre-execution offload (paper §4.3.1): admission runs right here
-      // on the pillar thread — the batch goes straight into this slice's
-      // reorder-ring slot; the exec stage is only woken at the frontier.
       exec_.admit(CommittedBatch{deliver->seq, deliver->view,
                                  std::move(deliver->requests), index_,
                                  core_.stable_seq()});

@@ -65,10 +65,11 @@ class Pillar final : public transport::FrameSink {
   /// Prepared messages from upstream pipeline stages.
   bool post(PillarEvent event) { return queue_.push(std::move(event)); }
 
-  /// Commands from sibling pillars and the state-transfer manager. Uses a
-  /// separate queue with ample headroom so a poster never blocks on a
-  /// pillar whose main queue is full. A push does not wake a parked
-  /// pillar: it drains commands at its next frame or 1 ms heartbeat.
+  /// Commands from the execution stage, sibling pillars and the
+  /// state-transfer manager. Uses a separate queue with ample headroom so
+  /// a poster never blocks on a pillar whose main queue is full. A push
+  /// does not wake a parked pillar: it drains commands at its next frame
+  /// or 1 ms heartbeat.
   bool post_command(PillarCommand command) {
     return commands_.push(std::move(command));
   }
@@ -105,10 +106,6 @@ class Pillar final : public transport::FrameSink {
 
   BoundedQueue<PillarEvent> queue_;
   BoundedQueue<PillarCommand> commands_{1 << 16};
-  /// Scratch for ExecutionStage::poll_pillar (pre-execution offload):
-  /// checkpoint rounds this pillar owns and gap fills for its slice,
-  /// produced by the stage's bookkeeping and executed here.
-  std::vector<PillarCommand> poll_out_;
   protocol::CryptoVerifier verifier_;
   protocol::PbftCore core_;
 

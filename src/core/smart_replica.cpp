@@ -20,6 +20,9 @@ SmartReplica::SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
       exec_(self, config_, *service_, crypto, transport) {
   if (config_.num_pillars != 1)
     throw std::invalid_argument("SMaRt replica has exactly one logic thread");
+  if (config_.protocol.num_pillars != config_.num_pillars)
+    throw std::invalid_argument(
+        "SMaRt replica needs num_pillars == protocol.num_pillars");
   if (config_.protocol.max_active_proposals != 1)
     throw std::invalid_argument(
         "SMaRt baseline requires max_active_proposals = 1");
@@ -27,6 +30,9 @@ SmartReplica::SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
   logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, exec_,
                                     outbound_, service_.get(),
                                     Pillar::StableFn{});
+  exec_.set_command_fn([this](std::uint32_t, PillarCommand command) {
+    logic_->post_command(std::move(command));
+  });
   verify_pool_ = std::make_shared<VerifyPool>(*this, config_.auth_threads,
                                               config_.queue_capacity);
   for (std::uint32_t lane = 0; lane < lanes_; ++lane)

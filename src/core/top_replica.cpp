@@ -17,10 +17,16 @@ TopReplica::TopReplica(ReplicaId self, ReplicaRuntimeConfig config,
       exec_(self, config_, *service_, crypto, transport) {
   if (config_.num_pillars != 1)
     throw std::invalid_argument("TOP replica has exactly one logic thread");
+  if (config_.protocol.num_pillars != config_.num_pillars)
+    throw std::invalid_argument(
+        "TOP replica needs num_pillars == protocol.num_pillars");
 
   logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, exec_,
                                     outbound_, service_.get(),
                                     Pillar::StableFn{});
+  exec_.set_command_fn([this](std::uint32_t, PillarCommand command) {
+    logic_->post_command(std::move(command));
+  });
   ingress_ = std::make_shared<IngressStage>(*this, config_.queue_capacity);
   transport.register_sink(0, ingress_);
 }

@@ -80,6 +80,8 @@ struct CoreStats {
     request_verifications_skipped += other.request_verifications_skipped;
     duplicates_dropped += other.duplicates_dropped;
     invalid_dropped += other.invalid_dropped;
+    over_window_deferred += other.over_window_deferred;
+    over_window_dropped += other.over_window_dropped;
     view_changes_started += other.view_changes_started;
     view_changes_completed += other.view_changes_completed;
     checkpoints_stable += other.checkpoints_stable;
@@ -89,6 +91,8 @@ struct CoreStats {
     return *this;
   }
 };
+// A new counter changes the size: sum it in operator+= above, then bump.
+static_assert(sizeof(CoreStats) == 20 * sizeof(std::uint64_t));
 
 class PbftCore {
  public:

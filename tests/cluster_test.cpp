@@ -71,6 +71,47 @@ TEST_P(ArchEcho, AsyncWindowCompletesEverything) {
   EXPECT_GT(client.latencies().mean(), 0.0);
 }
 
+TEST_P(ArchEcho, CheckpointsStabilizeInRuntime) {
+  ClusterOptions options;
+  options.arch = GetParam();
+  options.num_pillars = 2;
+  options.runtime.protocol.checkpoint_interval = 20;
+  options.runtime.protocol.window = 80;
+  // One request per instance: 150 requests run the sequence numbers past
+  // the 80-seq window, so a replica whose execution stage never starts a
+  // checkpoint round stalls at the window edge.
+  options.runtime.protocol.max_batch = 1;
+  options.runtime.gap_timeout_us = 1'000;
+  Cluster cluster(std::move(options));
+  cluster.start();
+
+  auto& client = cluster.add_client(0, 16);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 150; ++i)
+    ASSERT_TRUE(client.invoke_async(to_bytes("c"), 0,
+                                    [&done](Bytes, std::uint64_t) { ++done; }));
+  client.drain();
+  ASSERT_EQ(done.load(), 150);
+
+  // A laggard that was stranded past the truncated log reaches a stable
+  // checkpoint by installing one via state transfer instead of agreeing
+  // on it; both paths prove checkpoints work end to end.
+  ASSERT_TRUE(wait_for_all_replicas(cluster, [](const auto& stats) {
+    return (stats.core.checkpoints_stable > 0 &&
+            stats.exec.checkpoints_triggered > 0) ||
+           stats.exec.state_installs > 0;
+  })) << "a replica neither stabilized nor installed a checkpoint";
+  for (protocol::ReplicaId r = 0; r < 4; ++r) {
+    auto stats = cluster.replica(r).stats();
+    EXPECT_TRUE(stats.core.checkpoints_stable > 0 ||
+                stats.exec.state_installs > 0)
+        << "replica " << r;
+    EXPECT_TRUE(stats.exec.checkpoints_triggered > 0 ||
+                stats.exec.state_installs > 0)
+        << "replica " << r;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Architectures, ArchEcho,
                          ::testing::Values(Arch::kCop, Arch::kTop,
                                            Arch::kSmart),
@@ -226,43 +267,6 @@ TEST(CopCluster, StarvedPillarsAreFilledWithNoops) {
   for (protocol::ReplicaId r = 0; r < 4; ++r)
     noops += cluster.replica(r).stats().core.noop_proposals;
   EXPECT_GT(noops, 0u) << "starved pillars were not filled";
-}
-
-TEST(CopCluster, CheckpointsStabilizeInRuntime) {
-  ClusterOptions options;
-  options.arch = Arch::kCop;
-  options.num_pillars = 2;
-  options.runtime.protocol.checkpoint_interval = 20;
-  options.runtime.protocol.window = 80;
-  options.runtime.gap_timeout_us = 1'000;
-  Cluster cluster(std::move(options));
-  cluster.start();
-
-  auto& client = cluster.add_client(0, 16);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 150; ++i)
-    ASSERT_TRUE(client.invoke_async(to_bytes("c"), 0,
-                                    [&done](Bytes, std::uint64_t) { ++done; }));
-  client.drain();
-  ASSERT_EQ(done.load(), 150);
-
-  // A laggard that was stranded past the truncated log reaches a stable
-  // checkpoint by installing one via state transfer instead of agreeing
-  // on it; both paths prove checkpoints work end to end.
-  ASSERT_TRUE(wait_for_all_replicas(cluster, [](const auto& stats) {
-    return (stats.core.checkpoints_stable > 0 &&
-            stats.exec.checkpoints_triggered > 0) ||
-           stats.exec.state_installs > 0;
-  })) << "a replica neither stabilized nor installed a checkpoint";
-  for (protocol::ReplicaId r = 0; r < 4; ++r) {
-    auto stats = cluster.replica(r).stats();
-    EXPECT_TRUE(stats.core.checkpoints_stable > 0 ||
-                stats.exec.state_installs > 0)
-        << "replica " << r;
-    EXPECT_TRUE(stats.exec.checkpoints_triggered > 0 ||
-                stats.exec.state_installs > 0)
-        << "replica " << r;
-  }
 }
 
 // ---- fault tolerance --------------------------------------------------------

@@ -74,11 +74,14 @@ TEST(BoundedQueue, FifoOrder) {
 
 TEST(BoundedQueue, TryPushRespectsCapacity) {
   BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
+  int one = 1, two = 2, three = 3;
+  EXPECT_TRUE(q.try_push_ref(one));
+  EXPECT_TRUE(q.try_push_ref(two));
+  EXPECT_FALSE(q.try_push_ref(three));
   EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));
+  EXPECT_TRUE(q.try_push_ref(three));
+  EXPECT_EQ(q.pop(), 2);
+  EXPECT_EQ(q.pop(), 3);
 }
 
 TEST(BoundedQueue, CloseDrainsThenEnds) {
@@ -98,14 +101,6 @@ TEST(BoundedQueue, PopForTimesOut) {
   EXPECT_EQ(q.pop_for(std::chrono::microseconds(20'000)), std::nullopt);
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_GE(elapsed, std::chrono::microseconds(15'000));
-}
-
-TEST(BoundedQueue, PopAllTakesEverything) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 4; ++i) q.push(i);
-  auto all = q.pop_all();
-  EXPECT_EQ(all.size(), 4u);
-  EXPECT_TRUE(q.empty());
 }
 
 TEST(BoundedQueue, ProducerConsumerStress) {

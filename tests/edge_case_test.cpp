@@ -71,6 +71,12 @@ TEST(ReplicaConstruction, ArchitectureInvariantsEnforced) {
                                   std::make_unique<app::NullService>(),
                                   *crypto, transport),
                std::invalid_argument);
+  cfg.num_pillars = 2;  // pillar slices must match the leader scheme's NP
+  cfg.protocol.num_pillars = 3;
+  EXPECT_THROW(core::CopReplica(0, cfg,
+                                std::make_unique<app::NullService>(), *crypto,
+                                transport),
+               std::invalid_argument);
 }
 
 // ---- protocol core edges -------------------------------------------------

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <set>
 #include <thread>
 
 #include "app/null_service.hpp"
@@ -21,8 +21,7 @@ namespace {
 using namespace copbft::core;
 using namespace copbft::protocol;
 
-/// Records PillarCommands the pillars pick up from the stage via
-/// poll_pillar() (pre-execution offload: the stage no longer pushes them).
+/// Records the PillarCommands the stage sends through its command hook.
 struct CommandLog {
   std::mutex mutex;
   std::condition_variable cv;
@@ -68,32 +67,13 @@ class ExecutionStageTest : public ::testing::Test {
     stage_ = std::make_unique<ExecutionStage>(/*self=*/1, config_, *service_,
                                               *crypto_, transport_);
     if (snapshot_fn_) stage_->set_snapshot_fn(snapshot_fn_);
-    stage_->start();
-    // Stand-in for the pillars' run loops: each pillar polls the stage for
-    // its own share of bookkeeping — checkpoint rounds it owns, gap fills
-    // for its slice — and we record what it picked up.
-    pump_ = std::thread([this, pillars] {
-      std::vector<PillarCommand> out;
-      while (!pump_stop_.load(std::memory_order_acquire)) {
-        const auto now =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count();
-        for (std::uint32_t p = 0; p < pillars; ++p) {
-          out.clear();
-          stage_->poll_pillar(p, static_cast<std::uint64_t>(now), out);
-          for (PillarCommand& cmd : out) log_.record(p, std::move(cmd));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+    stage_->set_command_fn([this](std::uint32_t pillar, PillarCommand cmd) {
+      log_.record(pillar, std::move(cmd));
     });
+    stage_->start();
   }
 
   void TearDown() override {
-    if (pump_.joinable()) {
-      pump_stop_.store(true, std::memory_order_release);
-      pump_.join();
-    }
     if (stage_) stage_->stop();
   }
 
@@ -138,8 +118,6 @@ class ExecutionStageTest : public ::testing::Test {
   CommandLog log_;
   ExecutionStage::SnapshotFn snapshot_fn_;  ///< installed by start() if set
   std::unique_ptr<ExecutionStage> stage_;
-  std::thread pump_;
-  std::atomic<bool> pump_stop_{false};
 };
 
 TEST_F(ExecutionStageTest, ExecutesInSequenceOrderDespiteArrivalOrder) {
@@ -222,13 +200,9 @@ TEST_F(ExecutionStageTest, CheckpointTriggeredAtIntervalWithRoundRobinOwner) {
     if (const auto* cp = std::get_if<StartCheckpoint>(&cmd))
       checkpoints.emplace_back(pillar, cp->seq);
   ASSERT_GE(checkpoints.size(), 2u);
-  // Both signals may land in the same poll round, so the pickup order
-  // between pillars is arbitrary — order by sequence number.
-  std::sort(checkpoints.begin(), checkpoints.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
   // interval 10: checkpoint at 10 owned by pillar (10/10)%2=1, at 20 by
   // (20/10)%2=0 — the paper's round-robin checkpoint distribution. Each
-  // signal is picked up only by the owning pillar's poll.
+  // command goes only to the owning pillar, in execution order.
   EXPECT_EQ(checkpoints[0], (std::pair<std::uint32_t, SeqNum>{1u, 10u}));
   EXPECT_EQ(checkpoints[1], (std::pair<std::uint32_t, SeqNum>{0u, 20u}));
 }
@@ -236,8 +210,8 @@ TEST_F(ExecutionStageTest, CheckpointTriggeredAtIntervalWithRoundRobinOwner) {
 TEST_F(ExecutionStageTest, GapFillRequestedWhenStalled) {
   start();
   stage_->admit(batch(5, {50}));  // seqs 1-4 missing
-  // Each pillar times its own stall against the shared frontier and
-  // requests a fill for its own slice — wait until every pillar fired.
+  // The stage times the stall and asks every pillar to fill its own
+  // slice — wait until every pillar was asked.
   ASSERT_TRUE(log_.wait_for([&](const auto& commands) {
     std::set<std::uint32_t> pillars;
     for (const auto& [pillar, cmd] : commands)
@@ -257,6 +231,42 @@ TEST_F(ExecutionStageTest, GapFillRequestedWhenStalled) {
   }
   EXPECT_EQ(asked.size(), 2u);
   EXPECT_EQ(target, 5u);
+}
+
+TEST_F(ExecutionStageTest, GapFillTargetsHighestAdmittedAndNamesTheFrontier) {
+  start(ReplyMode::kAll, /*pillars=*/3);
+  constexpr SeqNum kWithheld = 17;
+  constexpr SeqNum kHighest = 30;
+  // Everything below the withheld seq first, then the rest highest first:
+  // the inbox is FIFO, so the stage has seen seq 30 before it can see any
+  // gap, and every fill it sends names the final target and frontier.
+  for (SeqNum s = 1; s < kWithheld; ++s)
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
+  for (SeqNum s = kHighest; s > kWithheld; --s)
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
+  ASSERT_TRUE(log_.wait_for([&](const auto& commands) {
+    std::size_t fills = 0;
+    for (const auto& [pillar, cmd] : commands)
+      if (std::holds_alternative<FillGap>(cmd)) ++fills;
+    return fills >= config_.num_pillars;
+  }));
+  stage_->stop();
+
+  // One fill per pillar per timed-out stall, each for its own slice.
+  std::vector<std::uint32_t> asked;
+  for (const auto& [pillar, cmd] : log_.commands) {
+    const auto* gap = std::get_if<FillGap>(&cmd);
+    if (!gap) continue;
+    asked.push_back(pillar);
+    EXPECT_EQ(gap->seq, kHighest) << "fill targets the highest admitted seq";
+    EXPECT_EQ(gap->frontier, kWithheld) << "fill names the stalled frontier";
+  }
+  ASSERT_GE(asked.size(), 3u);
+  ASSERT_EQ(asked.size() % 3, 0u) << "fills come in rounds of NP";
+  for (std::size_t i = 0; i < asked.size(); ++i)
+    EXPECT_EQ(asked[i], i % 3) << "fill " << i;
+  EXPECT_EQ(stage_->stats().gap_fills_requested, asked.size());
+  EXPECT_EQ(stage_->stats().last_executed_seq, kWithheld - 1);
 }
 
 TEST_F(ExecutionStageTest, OmitOneSkipsDeterministicReplica) {
@@ -408,26 +418,27 @@ TEST_F(ExecutionStageTest, PostProcessDecoratesFreshRepliesOnly) {
   EXPECT_EQ(decoded->client_table, expected_table);
 }
 
-// ---- reorder ring under adversarial sequence patterns -------------------
+// ---- reorder buffer under adversarial sequence patterns -----------------
 //
-// window=40 sizes the ring at 128 slots (2·window+2 rounded up to a power
-// of two), so seqs 2 and 130 share slot 2. A Byzantine pillar — or a
-// stale stable_basis after state transfer — can legally present both.
+// window=40 sets the reorder span at 128 (2·window+2 rounded up to a power
+// of two), so with the frontier at 1 the stage buffers seqs up to 128 and
+// drops seq 130. A Byzantine pillar — or a stale stable_basis after state
+// transfer — can legally present it.
 
 std::atomic<std::uint64_t> g_invariant_fires{0};
 void count_invariant(const InvariantViolation&) {
   g_invariant_fires.fetch_add(1, std::memory_order_relaxed);
 }
 
-TEST_F(ExecutionStageTest, SlotCollisionDropsHigherSeqAndCounts) {
+TEST_F(ExecutionStageTest, CommitBeyondReorderSpanDroppedAndCounted) {
   start(ReplyMode::kAll, /*pillars=*/1);
   stage_->admit(batch(2, {20}));    // parked: seq 1 missing
-  stage_->admit(batch(130, {13}));  // 130 & 127 == 2: collides
+  stage_->admit(batch(130, {13}));  // 130 >= frontier 1 + span 128
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.reorder_slot_drops >= 1; }));
 
-  // The lower seq executes first, so it is the one kept; 130 is dropped
-  // and gap detection would re-fetch it later.
+  // Seq 2 is buffered; 130 is dropped (a replica this far behind
+  // recovers it by state transfer).
   stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
@@ -437,10 +448,10 @@ TEST_F(ExecutionStageTest, SlotCollisionDropsHigherSeqAndCounts) {
   EXPECT_EQ(stats.last_executed_seq, 2u);
 }
 
-TEST_F(ExecutionStageTest, SlotCollisionEvictsHigherSeqOccupant) {
+TEST_F(ExecutionStageTest, CommitBeyondReorderSpanDroppedWhenItArrivesFirst) {
   start(ReplyMode::kAll, /*pillars=*/1);
-  // Reverse arrival order: the higher seq occupies the slot first and must
-  // be evicted in favour of the lower one.
+  // Reverse arrival order: the span is measured from the frontier, not
+  // from what is buffered, so 130 is dropped even into an empty buffer.
   stage_->admit(batch(130, {13}));
   stage_->admit(batch(2, {20}));
   ASSERT_TRUE(wait_stats(
@@ -452,7 +463,7 @@ TEST_F(ExecutionStageTest, SlotCollisionEvictsHigherSeqOccupant) {
   auto sent = transport_.take_sent();
   ASSERT_EQ(sent.size(), 2u);
   EXPECT_EQ(std::get<Reply>(decode_message(sent[1].frame)->msg).id, 20u)
-      << "seq 2 survived the eviction and executed";
+      << "seq 2 was buffered and executed";
   EXPECT_EQ(stage_->stats().requests_executed, 2u);
 }
 
@@ -479,10 +490,10 @@ TEST_F(ExecutionStageTest, DriftAtBoundAdmittedOnePastBoundFires) {
 
 TEST_F(ExecutionStageTest, SequentialWrapAroundExecutesEverything) {
   start(ReplyMode::kAll, /*pillars=*/1);
-  // 300 seqs > 2 full ring revolutions (128 slots): steady in-order flow
-  // must reuse slots without collisions or drops. Submit in chunks smaller
-  // than the ring and let execution drain between them — a single burst
-  // would outrun the frontier and make collisions legal.
+  // 300 seqs > 2 reorder spans (128): steady in-order flow must never
+  // drop. Submit in chunks smaller than the span and let execution drain
+  // between them — a single burst would outrun the frontier and make
+  // drops legal.
   constexpr SeqNum kTotal = 300;
   constexpr SeqNum kChunk = 100;
   for (SeqNum s = 1; s <= kTotal; ++s) {

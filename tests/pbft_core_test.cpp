@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+
 #include "support/core_harness.hpp"
 
 namespace copbft::test {
@@ -371,6 +374,21 @@ TEST(PbftCore, RotationTotalOrderConsistent) {
         EXPECT_EQ(got[i].requests[j].key(), reference[i].requests[j].key());
     }
   }
+}
+
+// ---- stats ------------------------------------------------------------------
+
+TEST(CoreStatsSum, AddingToItselfDoublesEveryField) {
+  // Replicas and the simulator sum per-pillar stats; a field left out of
+  // operator+= reads 0 in every summed view.
+  std::array<std::uint64_t, sizeof(CoreStats) / sizeof(std::uint64_t)> fields;
+  for (std::size_t i = 0; i < fields.size(); ++i) fields[i] = 100 + i;
+  CoreStats stats;
+  std::memcpy(&stats, fields.data(), sizeof stats);
+  stats += stats;
+  std::memcpy(fields.data(), &stats, sizeof stats);
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    EXPECT_EQ(fields[i], 2 * (100 + i)) << "field " << i;
 }
 
 }  // namespace

@@ -59,9 +59,11 @@ TEST(RaceStress, BoundedQueueManyProducersManyConsumers) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         int value = p * kPerProducer + i;
-        // Mix try_push and blocking push: try_push exercises the
+        // Mix try_push_ref and blocking push: try_push_ref exercises the
         // full-queue bailout, push the not-full wait.
-        if (!queue.try_push(value)) ASSERT_TRUE(queue.push(value));
+        if (!queue.try_push_ref(value)) {
+          ASSERT_TRUE(queue.push(value));
+        }
       }
     });
   }
@@ -119,26 +121,12 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
   FakeTransport transport;
   ExecutionStage stage(/*self=*/0, config, service, *crypto, transport);
 
-  // Checkpoint signals are mailed to the owning pillar and picked up by
-  // its poll (pre-execution offload); this pump plays all four pillars'
-  // poll loops, racing the watermark/mailbox reads against admission.
+  // Checkpoint commands leave the stage thread through the hook while the
+  // pillars below push commits into its inbox.
   std::atomic<std::uint64_t> checkpoint_commands{0};
-  std::atomic<bool> pump_stop{false};
-  std::jthread pump([&] {
-    std::vector<PillarCommand> out;
-    while (!pump_stop.load(std::memory_order_acquire)) {
-      const auto now = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count();
-      for (std::uint32_t p = 0; p < kPillars; ++p) {
-        out.clear();
-        stage.poll_pillar(p, static_cast<std::uint64_t>(now), out);
-        for (const PillarCommand& cmd : out)
-          if (std::holds_alternative<StartCheckpoint>(cmd))
-            checkpoint_commands.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  stage.set_command_fn([&](std::uint32_t, PillarCommand cmd) {
+    if (std::holds_alternative<StartCheckpoint>(cmd))
+      checkpoint_commands.fetch_add(1, std::memory_order_relaxed);
   });
 
   stage.start();
@@ -187,8 +175,7 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
     if (stage.stats().last_executed_seq >= last_seq) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // Give the polls time to drain the checkpoint mailboxes of the signals
-  // execution just mailed.
+  // The last checkpoint command may still be on its way out of the hook.
   const std::uint64_t expected_checkpoints =
       last_seq / config.protocol.checkpoint_interval;
   for (int spin = 0; spin < 2'000; ++spin) {
@@ -197,8 +184,6 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  pump_stop.store(true, std::memory_order_release);
-  pump.join();
   done.store(true, std::memory_order_relaxed);
   stage.stop();
 
@@ -210,14 +195,13 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
   EXPECT_EQ(stats.replies_sent, last_seq);
 }
 
-// Checkpoint install truncating the reorder ring while every pillar is
-// mid-publish and the exec drain is consuming: the worst-case composition
-// of pre-execution offload (lock-free single-writer slots) with state
-// transfer (frontier jump + discard of the admitted prefix). The pillars
-// keep publishing stale sequence numbers after the install lands; those
-// must self-heal (be dropped or reclaimed) without a torn slot, and
-// everything past the installed checkpoint must still execute exactly
-// once, in order.
+// Checkpoint install truncating the reorder buffer while every pillar is
+// mid-admit and the exec drain is consuming: state transfer (frontier
+// jump + discard of the admitted prefix) racing concurrent producers on
+// the stage's one inbox. The pillars keep admitting stale sequence
+// numbers after the install lands; those must be dropped, and everything
+// past the installed checkpoint must still execute exactly once, in
+// order.
 TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
   constexpr std::uint32_t kPillars = 2;
   constexpr SeqNum kInstallSeq = 200;
@@ -277,26 +261,9 @@ TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
   ExecutionStage stage(/*self=*/0, config, service, *crypto, transport);
   stage.start();
 
-  // Pillar poll pump: watermark and checkpoint-mailbox reads racing the
-  // truncation and the publishes.
-  std::atomic<bool> pump_stop{false};
-  std::jthread pump([&] {
-    std::vector<PillarCommand> out;
-    while (!pump_stop.load(std::memory_order_acquire)) {
-      const auto now = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count();
-      for (std::uint32_t p = 0; p < kPillars; ++p) {
-        out.clear();
-        stage.poll_pillar(p, static_cast<std::uint64_t>(now), out);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
   // Seq 1 is never committed, so the frontier stays parked at 1 and the
-  // ring fills with out-of-order publishes — exactly the state a real
-  // laggard is in when state transfer completes.
+  // reorder buffer fills with out-of-order commits — exactly the state a
+  // real laggard is in when state transfer completes.
   std::promise<bool> installed;
   auto install_result = installed.get_future();
   {
@@ -332,8 +299,6 @@ TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
     if (stage.stats().last_executed_seq >= kLastSeq) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  pump_stop.store(true, std::memory_order_release);
-  pump.join();
   stage.stop();
 
   ExecutionStats stats = stage.stats();
