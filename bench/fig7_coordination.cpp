@@ -28,8 +28,6 @@ int main() {
       SimConfig cfg = paper_config(arch, 12, /*batching=*/true);
       cfg.service = copbft::sim::SimService::kCoordination;
       cfg.read_ratio = ratio;
-      cfg.coord_data_size = 128;   // 10,000 nodes x 128 B prepared state
-      cfg.coord_path_size = 12;    // "/node-NNNN"
       SimResult r = run_simulation(cfg);
       std::printf("%9.0f  %-11s %10.1f %12.1f\n", ratio * 100.0,
                   copbft::sim::arch_name(arch), r.throughput_ops / 1000.0,

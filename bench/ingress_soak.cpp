@@ -68,7 +68,9 @@ constexpr std::uint64_t kSeed = 5;
 constexpr std::uint32_t kReplicas = 4;
 constexpr std::uint32_t kPillars = 2;
 constexpr std::uint32_t kMaxFaulty = 1;
-constexpr std::uint16_t kBasePort = 43200;
+// Below 32768, outside the kernel's default ephemeral port range, where
+// the TIME-WAIT sockets of earlier dials could hold a listen port.
+constexpr std::uint16_t kBasePort = 23200;
 /// The parent transport's own identity; endpoints dial with their own.
 constexpr crypto::KeyNodeId kMuxNode = 2'000'000;
 

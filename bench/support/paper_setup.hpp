@@ -31,9 +31,6 @@ inline SimConfig paper_config(SimArch arch, std::uint32_t cores,
   SimConfig cfg;
   cfg.arch = arch;
   cfg.cores = cores;
-  cfg.adapters = 4;
-  cfg.client_machines = 5;
-  cfg.client_cores = 12;
 
   cfg.protocol.num_replicas = 4;
   cfg.protocol.max_faulty = 1;
@@ -42,8 +39,7 @@ inline SimConfig paper_config(SimArch arch, std::uint32_t cores,
   // interval of the execution frontier; unbatched runs need deep instance
   // pipelining and use a wider window.
   cfg.protocol.window = batching ? 2400 : 4000;
-  cfg.protocol.batching = batching;
-  cfg.protocol.max_batch = 400;
+  cfg.protocol.max_batch = batching ? 400 : 1;
   cfg.protocol.view_change_timeout_us = 0;   // fault-free runs
   cfg.protocol.retransmit_interval_us = 150'000;  // heals window-drift drops
   cfg.protocol.num_pillars = cfg.pillars();

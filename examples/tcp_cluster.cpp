@@ -17,7 +17,8 @@ using namespace copbft;
 int main() {
   auto crypto = crypto::make_real_crypto(5);
 
-  constexpr std::uint16_t kBasePort = 42500;
+  // Below 32768, outside the kernel's default ephemeral port range.
+  constexpr std::uint16_t kBasePort = 22500;
   constexpr std::uint32_t kPillars = 2;
   const protocol::ClientId kClient = protocol::kClientIdBase;
 

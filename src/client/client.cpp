@@ -9,6 +9,12 @@
 #include "protocol/wire.hpp"
 
 namespace copbft::client {
+namespace {
+
+// Cap of the per-request retransmission backoff.
+constexpr std::uint64_t kRetransmitTimeoutMaxUs = 8'000'000;
+
+}  // namespace
 
 std::uint64_t retransmit_backoff_us(std::uint64_t base, std::uint64_t cap,
                                     std::uint32_t attempt, Rng& rng) {
@@ -104,7 +110,7 @@ bool Client::invoke_async(Bytes payload, std::uint8_t flags, Callback done) {
     // window must not fall due together if the cluster stalls.
     p.deadline_us =
         now + retransmit_backoff_us(config_.retransmit_timeout_us,
-                                    config_.retransmit_timeout_max_us,
+                                    kRetransmitTimeoutMaxUs,
                                     /*attempt=*/0, backoff_rng_);
   }
   m_sent_.add();
@@ -226,8 +232,8 @@ void Client::retransmit_due(std::uint64_t now) {
         ++p.attempts;
         p.deadline_us =
             now + retransmit_backoff_us(config_.retransmit_timeout_us,
-                                        config_.retransmit_timeout_max_us,
-                                        p.attempts, backoff_rng_);
+                                        kRetransmitTimeoutMaxUs, p.attempts,
+                                        backoff_rng_);
         frames.push_back(p.frame);
         ++retransmissions_;
         m_retransmissions_.add();

@@ -32,9 +32,8 @@ struct ClientConfig {
   /// Maximum outstanding asynchronous requests.
   std::uint32_t window = 16;
   /// Base retransmission timeout; doubles per retransmission of the same
-  /// request (with jitter) up to retransmit_timeout_max_us.
+  /// request (with jitter) up to a cap of 8 s.
   std::uint64_t retransmit_timeout_us = 500'000;
-  std::uint64_t retransmit_timeout_max_us = 8'000'000;
 };
 
 /// Retransmission delay for the attempt-th re-send of one request:

@@ -62,17 +62,6 @@ class CoordWorkload {
     return "/node-" + std::to_string(i);
   }
 
-  /// Operations that preload the namespace before the measurement.
-  std::vector<Bytes> preparation() const {
-    std::vector<Bytes> ops;
-    ops.reserve(num_nodes_);
-    for (std::uint32_t i = 0; i < num_nodes_; ++i)
-      ops.push_back(
-          app::CoordOp{app::CoordOpCode::kCreate, node_path(i), data_}
-              .encode());
-    return ops;
-  }
-
   Bytes next() {
     std::string path = node_path(
         static_cast<std::uint32_t>(rng_.below(num_nodes_)));

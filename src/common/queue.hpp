@@ -56,19 +56,13 @@ class BoundedQueue {
 
   /// Non-blocking push; returns false when full or closed and then leaves
   /// `value` untouched, so the caller keeps it (e.g. a transport lane
-  /// requeues a frame at ingress). A full-queue rejection counts as a
-  /// blocked push, like push's full-queue waits (closed is shutdown, not
-  /// backpressure). `count_blocked=false` suppresses the counter:
-  /// transport admission probes a full queue as a matter of course
-  /// (kBusy means "requeue at ingress", not "a stage thread stalled") and
-  /// must not masquerade as pillar-side backpressure in the metrics.
-  bool try_push_ref(T& value, bool count_blocked = true) {
+  /// requeues a frame at ingress). A rejection never counts as a blocked
+  /// push: this is an admission probe, and `blocked_pushes` counts only
+  /// producers that waited.
+  bool try_push_ref(T& value) {
     {
       MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) {
-        if (count_blocked && !closed_ && blocked_pushes_) blocked_pushes_->add();
-        return false;
-      }
+      if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(value));
       publish_depth();
     }

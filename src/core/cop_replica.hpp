@@ -32,8 +32,6 @@ class CopReplica final : public Replica {
 
   const app::Service& service() const { return *service_; }
   const Pillar& pillar(std::uint32_t p) const { return *pillars_[p]; }
-  /// Counters of the checkpoint-based state-transfer path.
-  StateTransferStats state_transfer_stats() const { return state_->stats(); }
 
  private:
   const ReplicaId self_;

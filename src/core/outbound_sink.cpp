@@ -7,11 +7,7 @@ AuthPoolOutbound::AuthPoolOutbound(ReplicaId self, std::uint32_t num_replicas,
                                    transport::Transport& transport,
                                    std::uint32_t threads,
                                    std::size_t queue_capacity)
-    : self_(self),
-      crypto_(crypto),
-      transport_(transport),
-      peers_(other_replicas(num_replicas, self)),
-      queue_(queue_capacity) {
+    : sealer_(self, num_replicas, crypto, transport), queue_(queue_capacity) {
   threads_.reserve(threads);
   for (std::uint32_t i = 0; i < threads; ++i)
     threads_.emplace_back(
@@ -30,18 +26,10 @@ void AuthPoolOutbound::send_to(ReplicaId to, protocol::Message msg,
 
 void AuthPoolOutbound::worker() {
   while (auto work = queue_.pop()) {
-    if (work->broadcast) {
-      Bytes frame = seal_message(work->msg, crypto_,
-                                 protocol::replica_node(self_), peers_);
-      for (crypto::KeyNodeId peer : peers_)
-        transport_.send(peer, work->lane, frame);
-    } else {
-      Bytes frame =
-          seal_message(work->msg, crypto_, protocol::replica_node(self_),
-                       {protocol::replica_node(work->to)});
-      transport_.send(protocol::replica_node(work->to), work->lane,
-                      std::move(frame));
-    }
+    if (work->broadcast)
+      sealer_.broadcast(std::move(work->msg), work->lane);
+    else
+      sealer_.send_to(work->to, std::move(work->msg), work->lane);
   }
 }
 

@@ -58,7 +58,9 @@ class InPlaceOutbound final : public OutboundSink {
   const std::vector<crypto::KeyNodeId> peers_;
 };
 
-/// Fan-out through a pool of authentication threads (TOP / SMaRt).
+/// Fan-out through a pool of authentication threads (TOP / SMaRt). Each
+/// worker seals and sends through an InPlaceOutbound, so frames are the
+/// same bytes either way.
 class AuthPoolOutbound final : public OutboundSink {
  public:
   AuthPoolOutbound(ReplicaId self, std::uint32_t num_replicas,
@@ -82,10 +84,7 @@ class AuthPoolOutbound final : public OutboundSink {
 
   void worker();
 
-  const ReplicaId self_;
-  const crypto::CryptoProvider& crypto_;
-  transport::Transport& transport_;
-  const std::vector<crypto::KeyNodeId> peers_;
+  InPlaceOutbound sealer_;
   BoundedQueue<Work> queue_;
   std::vector<std::jthread> threads_;
 };

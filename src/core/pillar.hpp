@@ -50,12 +50,10 @@ class Pillar final : public transport::FrameSink {
   }
   /// Non-blocking admission for the event-loop transport: a full queue is
   /// kBusy (the loop queues or sheds at ingress), never a blocked loop
-  /// thread. count_blocked=false — the blocked_pushes counter means "a
-  /// stage thread stalled", and an admission probe is not that.
+  /// thread.
   transport::Admit try_deliver(transport::ReceivedFrame& frame) override {
     PillarEvent event{std::move(frame)};
-    if (queue_.try_push_ref(event, /*count_blocked=*/false))
-      return transport::Admit::kAdmitted;
+    if (queue_.try_push_ref(event)) return transport::Admit::kAdmitted;
     frame = std::move(std::get<transport::ReceivedFrame>(event));
     return queue_.closed() ? transport::Admit::kClosed
                            : transport::Admit::kBusy;

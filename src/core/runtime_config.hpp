@@ -18,6 +18,11 @@ enum class ReplyMode : std::uint8_t {
   kOmitOne,
 };
 
+/// TOP: threads authenticating outgoing messages.
+/// SMaRt: threads authenticating outgoing messages, and as many verifying
+/// incoming messages (out-of-order).
+inline constexpr std::uint32_t kAuthThreads = 2;
+
 struct ReplicaRuntimeConfig {
   protocol::ProtocolConfig protocol;
 
@@ -26,10 +31,6 @@ struct ReplicaRuntimeConfig {
   std::uint32_t num_pillars = 1;
 
   ReplyMode reply_mode = ReplyMode::kAll;
-
-  /// TOP: threads authenticating outgoing messages.
-  /// SMaRt: threads verifying incoming messages (out-of-order).
-  std::uint32_t auth_threads = 2;
 
   /// Queue capacity for every inter-stage queue.
   std::size_t queue_capacity = 8192;

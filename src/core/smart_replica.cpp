@@ -7,16 +7,13 @@ namespace copbft::core {
 SmartReplica::SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
                            std::unique_ptr<app::Service> service,
                            const crypto::CryptoProvider& crypto,
-                           transport::Transport& transport,
-                           std::uint32_t lanes)
+                           transport::Transport& transport)
     : self_(self),
       config_(std::move(config)),
-      lanes_(lanes),
       service_(std::move(service)),
       pool_verifier_(crypto, protocol::replica_node(self)),
       auth_pool_(self, config_.protocol.num_replicas, crypto, transport,
-                 config_.auth_threads, config_.queue_capacity),
-      outbound_(auth_pool_, lanes),
+                 kAuthThreads, config_.queue_capacity),
       exec_(self, config_, *service_, crypto, transport) {
   if (config_.num_pillars != 1)
     throw std::invalid_argument("SMaRt replica has exactly one logic thread");
@@ -28,15 +25,14 @@ SmartReplica::SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
         "SMaRt baseline requires max_active_proposals = 1");
 
   logic_ = std::make_shared<Pillar>(self_, 0, config_, crypto, exec_,
-                                    outbound_, service_.get(),
+                                    auth_pool_, service_.get(),
                                     Pillar::StableFn{});
   exec_.set_command_fn([this](std::uint32_t, PillarCommand command) {
     logic_->post_command(std::move(command));
   });
-  verify_pool_ = std::make_shared<VerifyPool>(*this, config_.auth_threads,
+  verify_pool_ = std::make_shared<VerifyPool>(*this, kAuthThreads,
                                               config_.queue_capacity);
-  for (std::uint32_t lane = 0; lane < lanes_; ++lane)
-    transport.register_sink(lane, verify_pool_);
+  transport.register_sink(0, verify_pool_);
 }
 
 void SmartReplica::VerifyPool::start() {

@@ -1,4 +1,4 @@
-// BFT-SMaRt-like baseline replica (paper §5 "BFT-SMaRt"/"BFT-SMaRt*").
+// BFT-SMaRt-like baseline replica (paper §5 "BFT-SMaRt").
 //
 // Architecture, following the paper's characterization:
 //   * single-instance protocol logic — one consensus at a time; throughput
@@ -6,9 +6,10 @@
 //   * out-of-order verification — a pool of worker threads fully verifies
 //     *every* incoming message (including redundant votes) before the
 //     logic sees it;
-//   * outgoing authentication in the worker pool as well;
-//   * the '*' variant uses one lane per network adapter, used alternately
-//     (the paper's modification, §5 "The Subjects").
+//   * outgoing authentication in the worker pool as well.
+// The paper's '*' variant, one lane per network adapter used alternately
+// (§5 "The Subjects"), exists only in the simulator
+// (sim::SimArch::kSmartStar).
 #pragma once
 
 #include <atomic>
@@ -20,12 +21,11 @@ namespace copbft::core {
 
 class SmartReplica final : public Replica {
  public:
-  /// `lanes` > 1 selects the BFT-SMaRt* multi-connection variant. The
-  /// caller must set config.protocol.max_active_proposals = 1.
+  /// The caller must set config.protocol.max_active_proposals = 1.
   SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
                std::unique_ptr<app::Service> service,
                const crypto::CryptoProvider& crypto,
-               transport::Transport& transport, std::uint32_t lanes = 1);
+               transport::Transport& transport);
 
   void start() override;
   void stop() override;
@@ -64,37 +64,11 @@ class SmartReplica final : public Replica {
     std::vector<std::jthread> threads_;
   };
 
-  /// Round-robin lane rotation for the '*' variant.
-  class RotatingOutbound final : public OutboundSink {
-   public:
-    RotatingOutbound(AuthPoolOutbound& inner, std::uint32_t lanes)
-        : inner_(inner), lanes_(lanes) {}
-
-    void broadcast(protocol::Message msg, transport::LaneId) override {
-      inner_.broadcast(std::move(msg), next_lane());
-    }
-    void send_to(ReplicaId to, protocol::Message msg,
-                 transport::LaneId) override {
-      inner_.send_to(to, std::move(msg), next_lane());
-    }
-
-   private:
-    transport::LaneId next_lane() {
-      return lanes_ <= 1 ? 0 : counter_.fetch_add(1) % lanes_;
-    }
-
-    AuthPoolOutbound& inner_;
-    const std::uint32_t lanes_;
-    std::atomic<std::uint32_t> counter_{0};
-  };
-
   const ReplicaId self_;
   const ReplicaRuntimeConfig config_;
-  const std::uint32_t lanes_;
   std::unique_ptr<app::Service> service_;
   protocol::CryptoVerifier pool_verifier_;
   AuthPoolOutbound auth_pool_;
-  RotatingOutbound outbound_;
   ExecutionStage exec_;
   std::shared_ptr<Pillar> logic_;
   std::shared_ptr<VerifyPool> verify_pool_;

@@ -79,8 +79,7 @@ class StateTransferManager final : public transport::FrameSink {
   /// backpressure on the peer, never a blocked loop thread).
   transport::Admit try_deliver(transport::ReceivedFrame& frame) override {
     Event event{std::move(frame)};
-    if (queue_.try_push_ref(event, /*count_blocked=*/false))
-      return transport::Admit::kAdmitted;
+    if (queue_.try_push_ref(event)) return transport::Admit::kAdmitted;
     frame = std::move(std::get<transport::ReceivedFrame>(event));
     return queue_.closed() ? transport::Admit::kClosed
                            : transport::Admit::kBusy;

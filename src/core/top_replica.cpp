@@ -13,7 +13,7 @@ TopReplica::TopReplica(ReplicaId self, ReplicaRuntimeConfig config,
       service_(std::move(service)),
       ingress_verifier_(crypto, protocol::replica_node(self)),
       outbound_(self, config_.protocol.num_replicas, crypto, transport,
-                config_.auth_threads, config_.queue_capacity),
+                kAuthThreads, config_.queue_capacity),
       exec_(self, config_, *service_, crypto, transport) {
   if (config_.num_pillars != 1)
     throw std::invalid_argument("TOP replica has exactly one logic thread");

@@ -21,11 +21,6 @@ struct Digest {
 
   ByteSpan span() const { return {bytes.data(), bytes.size()}; }
   std::string hex() const { return to_hex(span()); }
-  bool is_zero() const {
-    for (Byte b : bytes)
-      if (b != 0) return false;
-    return true;
-  }
 };
 
 /// 128-bit message authentication code (truncated HMAC-SHA256, as in

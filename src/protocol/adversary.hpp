@@ -42,14 +42,12 @@ struct AdversaryConfig {
   /// Omit own Prepare/Commit votes to these peers.
   std::vector<ReplicaId> omit_votes_to;
 
-  /// Active interval in host/virtual microseconds; until_us = 0 means
+  /// End of the active interval in host/virtual microseconds; 0 means
   /// "for the whole run".
-  std::uint64_t from_us = 0;
   std::uint64_t until_us = 0;
 
   bool applies_to(ReplicaId self, std::uint64_t now_us) const {
-    return replica == self && now_us >= from_us &&
-           (until_us == 0 || now_us < until_us);
+    return replica == self && (until_us == 0 || now_us < until_us);
   }
 
   bool omits_to(ReplicaId peer) const {

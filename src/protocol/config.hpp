@@ -21,9 +21,8 @@ struct ProtocolConfig {
   /// Also bounds how far pillars may drift apart (paper §4.2.2).
   SeqNum window = 2000;
 
-  /// Request batching (paper evaluates both settings).
-  bool batching = true;
-  /// Maximum requests per consensus instance when batching.
+  /// Maximum requests per consensus instance; 1 turns batching off (the
+  /// paper evaluates both settings).
   std::uint32_t max_batch = 200;
 
   /// Maximum own proposals in flight (proposed, not yet committed).

@@ -474,8 +474,7 @@ void PbftCore::maybe_propose() {
     if (config_.max_active_proposals != 0 &&
         own_active_proposals() >= config_.max_active_proposals)
       return;
-    std::uint32_t limit = config_.batching ? config_.max_batch : 1;
-    std::vector<Request> batch = collect_batch(limit);
+    std::vector<Request> batch = collect_batch(config_.max_batch);
     if (batch.empty()) return;
     propose_batch(std::move(batch));
   }
@@ -549,8 +548,7 @@ void PbftCore::fill_gap_upto(SeqNum seq, std::uint64_t now_us,
       // replica's execution stage observes the same gap and fills it.
       return;
     }
-    std::vector<Request> batch =
-        collect_batch(config_.batching ? config_.max_batch : 1);
+    std::vector<Request> batch = collect_batch(config_.max_batch);
     propose_batch(std::move(batch));  // empty batch => no-op instance
   }
 }

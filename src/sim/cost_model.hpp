@@ -106,10 +106,6 @@ struct CostModel {
   double send_ns(std::size_t bytes) const {
     return send_base_ns + send_per_byte_ns * static_cast<double>(bytes);
   }
-  SimTime wire_ns(std::size_t bytes) const {
-    return static_cast<SimTime>(static_cast<double>(bytes) /
-                                nic_bytes_per_ns);
-  }
 };
 
 }  // namespace copbft::sim

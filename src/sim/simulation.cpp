@@ -1,6 +1,4 @@
 #include "sim/simulation.hpp"
-#include <cstdlib>
-#include <cstdio>
 
 #include <algorithm>
 #include <cassert>
@@ -36,6 +34,18 @@ namespace {
 using namespace copbft::protocol;
 
 constexpr std::size_t kAuthEntryBytes = 20;  // recipient id + 128-bit MAC
+
+// The paper's testbed (§5 "The Setup"): four 1 GbE adapters per machine
+// and five client machines, which keep their 12 cores when the replicas'
+// `cores` is swept.
+constexpr std::uint32_t kAdapters = 4;
+constexpr std::uint32_t kClientMachines = 5;
+constexpr std::uint32_t kClientCores = 12;
+
+// Coordination service (§5.3): 10,000 prepared nodes of 128 B data at
+// paths "/node-NNNN" of 12 B.
+constexpr std::size_t kCoordDataSize = 128;
+constexpr std::size_t kCoordPathSize = 12;
 
 /// A message in flight; shared between the recipients of a broadcast.
 struct Packet {
@@ -214,8 +224,6 @@ struct ExecSim {
   std::map<SeqNum, Deliver> reorder;
   bool drain_scheduled = false;
   std::size_t reorder_peak = 0;
-  std::uint64_t executed_requests = 0;
-  std::uint64_t executed_instances = 0;
 
   ExecSim(World& w, ReplicaSim& r, SimThread& t)
       : world(w), replica(r), thread(t) {}
@@ -252,7 +260,7 @@ struct ReplicaSim {
         id(replica_id),
         machine(w.events, costs, cfg.cores,
                 "replica-" + std::to_string(replica_id)),
-        nics(w.events, costs, cfg.adapters) {
+        nics(w.events, costs, kAdapters) {
     std::uint32_t np = cfg.pillars();
     for (std::uint32_t p = 0; p < np; ++p) {
       SimThread& t = machine.add_thread("logic-" + std::to_string(p));
@@ -284,7 +292,7 @@ struct ReplicaSim {
       case SimArch::kCop:
         return cfg.pillars();
       case SimArch::kSmartStar:
-        return cfg.adapters;
+        return kAdapters;
       default:
         return 1;
     }
@@ -294,7 +302,7 @@ struct ReplicaSim {
 
   /// Outgoing lane: BFT-SMaRt* alternates its per-adapter connections.
   std::uint32_t out_lane(std::uint32_t lane) {
-    if (cfg.arch == SimArch::kSmartStar) return rr_lane++ % cfg.adapters;
+    if (cfg.arch == SimArch::kSmartStar) return rr_lane++ % kAdapters;
     return lane;
   }
 
@@ -351,16 +359,15 @@ struct ClientFleet {
   std::vector<std::vector<SimThread*>> threads;
   std::vector<SimClient> clients;
   Rng rng;
-  std::uint64_t stray_replies = 0;  ///< replies for unknown request ids
 
   static constexpr std::uint32_t kThreadsPerMachine = 8;
 
   explicit ClientFleet(World& w)
       : world(w), cfg(w.cfg), costs(w.costs), rng(w.cfg.seed) {
-    for (std::uint32_t m = 0; m < cfg.client_machines; ++m) {
+    for (std::uint32_t m = 0; m < kClientMachines; ++m) {
       machines.push_back(std::make_unique<Machine>(
-          w.events, costs, cfg.client_cores, "clients-" + std::to_string(m)));
-      nics.push_back(std::make_unique<NicSet>(w.events, costs, cfg.adapters));
+          w.events, costs, kClientCores, "clients-" + std::to_string(m)));
+      nics.push_back(std::make_unique<NicSet>(w.events, costs, kAdapters));
       threads.emplace_back();
       for (std::uint32_t t = 0; t < kThreadsPerMachine; ++t)
         threads.back().push_back(
@@ -369,8 +376,8 @@ struct ClientFleet {
     clients.resize(cfg.clients);
     for (std::uint32_t i = 0; i < cfg.clients; ++i) {
       clients[i].id = kClientIdBase + i;
-      clients[i].machine = i % cfg.client_machines;
-      clients[i].thread = (i / cfg.client_machines) % kThreadsPerMachine;
+      clients[i].machine = i % kClientMachines;
+      clients[i].thread = (i / kClientMachines) % kThreadsPerMachine;
     }
   }
 
@@ -387,7 +394,7 @@ struct ClientFleet {
       case SimService::kNull:
         return cfg.reply_payload;
       case SimService::kCoordination:
-        return (flags & kFlagReadOnly) ? cfg.coord_data_size + 8 : 8;
+        return (flags & kFlagReadOnly) ? kCoordDataSize + 8 : 8;
     }
     return 0;
   }
@@ -779,7 +786,6 @@ double ExecSim::apply_ready(
     auto it = reorder.find(next_seq);
     if (it == reorder.end()) break;
     const Deliver& d = it->second;
-    ++executed_instances;
     cost += costs.exec_order_ns;
     // Fork oracle (pure observer, no CPU charged): record what this
     // replica executed at next_seq and compare against its peers. The
@@ -795,7 +801,6 @@ double ExecSim::apply_ready(
     world.note_executed(replica.id, next_seq, content_hash);
     if (d.requests) {
       for (const Request& req : *d.requests) {
-        ++executed_requests;
         cost += (cfg.service == SimService::kCoordination)
                     ? costs.coord_op_ns
                     : costs.exec_base_ns;
@@ -907,8 +912,7 @@ double ClientFleet::issue(SimClient& client) {
       payload = cfg.request_payload;
       break;
     case SimService::kCoordination:
-      payload = read ? cfg.coord_path_size
-                     : cfg.coord_path_size + cfg.coord_data_size;
+      payload = read ? kCoordPathSize : kCoordPathSize + kCoordDataSize;
       break;
   }
 
@@ -962,10 +966,7 @@ double ClientFleet::on_reply(SimClient& client, RequestId rid,
   double cost =
       costs.parse_ns(bytes) + costs.mac_ns(bytes) + costs.client_reply_ns;
   auto it = client.outstanding.find(rid);
-  if (it == client.outstanding.end()) {
-    ++stray_replies;
-    return cost;
-  }
+  if (it == client.outstanding.end()) return cost;  // unknown request id
   Op& op = it->second;
   ++op.replies_seen;
   if (!op.done && op.replies_seen >= cfg.protocol.max_faulty + 1) {
@@ -1108,55 +1109,6 @@ SimResult run_simulation(const SimConfig& config) {
         t->name(), t->busy_ns() / elapsed_ns,
         static_cast<std::uint64_t>(t->backlog())});
   result.leader_reorder_peak = world.replicas[0]->exec->reorder_peak;
-
-  if (std::getenv("COPBFT_SIM_DEBUG")) {
-    double elapsed = static_cast<double>(end);
-    for (ReplicaId r = 0; r < 2; ++r) {
-      std::fprintf(stderr, "[sim] replica %u threads:", r);
-      for (const auto& t : world.replicas[r]->machine.threads())
-        std::fprintf(stderr, " %s=%.2f", t->name().c_str(),
-                     t->busy_ns() / elapsed);
-      std::fprintf(stderr, "\n");
-      ExecSim& exec = *world.replicas[r]->exec;
-      std::size_t pending = 0, open = 0;
-      for (auto& unit : world.replicas[r]->logic) {
-        pending += unit->core->pending_requests();
-        open += unit->core->open_instances();
-      }
-      std::fprintf(
-          stderr,
-          "[sim] replica %u exec: executed=%llu next_seq=%llu reorder=%zu | "
-          "cores: pending=%zu open=%zu\n",
-          r, static_cast<unsigned long long>(exec.executed_requests),
-          static_cast<unsigned long long>(exec.next_seq),
-          exec.reorder.size(), pending, open);
-      if (r == 0) {
-        for (std::size_t u = 0; u < world.replicas[r]->logic.size(); ++u) {
-          const auto& cs = world.replicas[r]->logic[u]->core->stats();
-          std::fprintf(stderr,
-                       "[sim]   unit %zu: prop=%llu del=%llu macs=%llu "
-                       "reqmacs=%llu skip=%llu open=%zu pend=%zu backlog=%zu\n",
-                       u, (unsigned long long)cs.proposals,
-                       (unsigned long long)cs.instances_delivered,
-                       (unsigned long long)cs.macs_verified,
-                       (unsigned long long)cs.request_macs_verified,
-                       (unsigned long long)cs.verifications_skipped,
-                       world.replicas[r]->logic[u]->core->open_instances(),
-                       world.replicas[r]->logic[u]->core->pending_requests(),
-                       world.replicas[r]->logic[u]->thread.backlog());
-        }
-      }
-    }
-    std::uint64_t outstanding = 0;
-    for (const auto& client : world.fleet->clients)
-      outstanding += client.outstanding.size();
-    std::fprintf(stderr,
-                 "[sim] fleet: completed=%llu stray_replies=%llu "
-                 "outstanding=%llu\n",
-                 static_cast<unsigned long long>(world.completed_ops),
-                 static_cast<unsigned long long>(world.fleet->stray_replies),
-                 static_cast<unsigned long long>(outstanding));
-  }
   return result;
 }
 

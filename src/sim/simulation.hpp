@@ -49,18 +49,12 @@ struct SimConfig {
   SimService service = SimService::kNull;
   protocol::ProtocolConfig protocol;
 
-  // ---- hardware (per machine) ----
+  // ---- hardware (per replica machine) ----
   std::uint32_t cores = 12;
-  std::uint32_t adapters = 4;
-  std::uint32_t client_machines = 5;
-  /// Client machines keep their full core count when `cores` is swept.
-  std::uint32_t client_cores = 12;
 
   /// COP pillars; 0 = auto (two per core, the paper's single-core setup
   /// used two pillars on two hardware threads).
   std::uint32_t num_pillars = 0;
-  /// TOP/SMaRt auxiliary thread-pool size; 0 = auto.
-  std::uint32_t pool_threads = 0;
 
   // ---- workload ----
   std::uint32_t clients = 800;
@@ -69,8 +63,6 @@ struct SimConfig {
   std::size_t reply_payload = 0;
   /// Coordination service only (§5.3):
   double read_ratio = 0.0;
-  std::size_t coord_data_size = 128;
-  std::size_t coord_path_size = 12;
 
   core::ReplyMode reply_mode = core::ReplyMode::kAll;
 
@@ -135,8 +127,8 @@ struct SimConfig {
     if (arch != SimArch::kCop) return 1;
     return num_pillars != 0 ? num_pillars : 2 * cores;
   }
+  /// TOP/SMaRt auxiliary thread-pool size.
   std::uint32_t pool() const {
-    if (pool_threads != 0) return pool_threads;
     switch (arch) {
       case SimArch::kTop:
         return 4;  // the pipeline's additional authentication threads

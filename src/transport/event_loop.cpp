@@ -20,6 +20,13 @@ namespace {
 constexpr std::size_t kMaxIov = 64;
 constexpr int kAcceptBatch = 256;
 constexpr std::uint64_t kListenerBackoffUs = 100'000;  // EMFILE cool-down
+// Read buffer per recv() call (one buffer per loop, reused).
+constexpr std::size_t kReadChunk = 64 * 1024;
+// Fairness: max bytes drained from one connection per wakeup.
+constexpr std::size_t kMaxReadPerWake = 256 * 1024;
+// Idle epoll timeout (the loop polls at 1 ms while retries/parked frames
+// are pending).
+constexpr int kEpollWaitMs = 100;
 
 }  // namespace
 
@@ -196,7 +203,7 @@ EventLoop::EventLoop(std::string name, std::string metric_prefix,
     : name_(std::move(name)),
       opts_(opts),
       hooks_(std::move(hooks)),
-      scratch_(opts.read_chunk),
+      scratch_(kReadChunk),
       m_wakeups_(metrics::MetricsRegistry::global().counter(metric_prefix +
                                                             "wakeups")),
       m_writev_calls_(metrics::MetricsRegistry::global().counter(
@@ -294,7 +301,7 @@ void EventLoop::run() {
     bool stopping = false;
     drain_control(stopping);
     if (stopping) break;
-    const int timeout = want_fast_poll() ? 1 : opts_.epoll_wait_ms;
+    const int timeout = want_fast_poll() ? 1 : kEpollWaitMs;
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), timeout);
     if (n < 0) {
@@ -451,7 +458,7 @@ void EventLoop::accept_batch() {
 
 COP_HOT void EventLoop::handle_readable(const std::shared_ptr<Conn>& conn,
                                         std::uint64_t now) {
-  std::size_t budget = opts_.max_read_per_wake;
+  std::size_t budget = kMaxReadPerWake;
   std::size_t batch_frames = 0;
   bool dead = false;
   while (budget > 0 && conn->fd_ >= 0 && !conn->paused_ &&

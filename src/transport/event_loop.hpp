@@ -160,7 +160,6 @@ class Conn {
     lane_ = lane;
     hello_done_ = true;
   }
-  bool hello_done() const { return hello_done_; }
 
   /// Sender-side enqueue (any thread, non-blocking).
   Offer offer(Bytes frame);
@@ -265,17 +264,10 @@ class Conn {
 };
 
 struct EventLoopOptions {
-  /// Read buffer per recv() call (one buffer per loop, reused).
-  std::size_t read_chunk = 64 * 1024;
-  /// Fairness: max bytes drained from one connection per wakeup.
-  std::size_t max_read_per_wake = 256 * 1024;
   /// Admission: max frames queued per lane awaiting a busy sink.
   std::size_t ingress_retry_budget = 1024;
   /// Admission: how long a queued frame may wait before it is dropped.
   std::uint64_t ingress_retry_deadline_us = 20'000;
-  /// Idle epoll timeout (the loop polls at 1 ms while retries/parked
-  /// frames are pending).
-  int epoll_wait_ms = 100;
 };
 
 /// Callbacks into the owning transport. All run on the loop thread; they

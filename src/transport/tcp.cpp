@@ -22,6 +22,11 @@
 namespace copbft::transport {
 namespace {
 
+// Per-connection outbound budgets; past them frames are dropped (the
+// egress side of admission control — a slow peer sheds, never blocks).
+constexpr std::size_t kConnOutFrames = 1 << 16;
+constexpr std::size_t kConnOutBytes = 128u << 20;
+
 // Hello header sent once per outgoing connection: sender node id + lane.
 struct Hello {
   std::uint32_t from;
@@ -318,16 +323,15 @@ std::shared_ptr<Conn> TcpTransport::on_accept(int fd) {
   // frame bound; on_hello() widens it for authenticated replica peers.
   auto conn = std::make_shared<Conn>(
       fd, Conn::Kind::kAccepted, /*peer=*/0, /*lane=*/0,
-      options_.max_frame_client, options_.conn_out_frames,
-      options_.conn_out_bytes);
+      kMaxFrameClient, kConnOutFrames, kConnOutBytes);
   m_accepted_conns_.add(1);
   return conn;
 }
 
 EventLoop* TcpTransport::on_hello(const std::shared_ptr<Conn>& conn) {
-  const bool client = conn->peer() >= options_.client_node_floor;
+  const bool client = conn->peer() >= kClientNodeFloor;
   conn->set_sheddable(client);
-  if (!client) conn->decoder().set_max_frame(options_.max_frame_replica);
+  if (!client) conn->decoder().set_max_frame(kMaxFrameReplica);
   auto sink = sink_for(conn->lane());
   if (!sink) {
     COP_LOG_WARN("node %u: no sink for lane %u", self_, conn->lane());
@@ -369,7 +373,7 @@ bool TcpTransport::send_from(crypto::KeyNodeId from, crypto::KeyNodeId to,
   {
     MutexLock lock(mutex_);
     if (stopping_) return false;
-    if (to >= options_.client_node_floor) {
+    if (to >= kClientNodeFloor) {
       // Replies ride the connection the client dialed — no dial-back.
       auto it = accepted_routes_.find(to);
       if (it != accepted_routes_.end()) conn = it->second;
@@ -394,14 +398,14 @@ std::shared_ptr<Conn> TcpTransport::dial(crypto::KeyNodeId from,
   // sends (plus sink registration and shutdown) meanwhile.
   int fd = connect_with_retry(peer->second);
   if (fd < 0) return nullptr;
-  const bool to_client = to >= options_.client_node_floor;
+  const bool to_client = to >= kClientNodeFloor;
   // Construct the RAII owner immediately: every failure path below — a
   // hello write error, a raced shutdown, a lost publication race — drops
   // the last reference and the destructor closes the fd.
   auto conn = std::make_shared<Conn>(
       fd, Conn::Kind::kDialed, to, lane,
-      to_client ? options_.max_frame_client : options_.max_frame_replica,
-      options_.conn_out_frames, options_.conn_out_bytes);
+      to_client ? kMaxFrameClient : kMaxFrameReplica, kConnOutFrames,
+      kConnOutBytes);
   conn->set_local_from(from);
   conn->set_sheddable(false);  // inbound here is replica traffic: lossless
   Hello hello{from, lane};

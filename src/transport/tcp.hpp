@@ -40,23 +40,21 @@ bool read_exact(int fd, void* buf, std::size_t len);
 /// Writes all `len` bytes to `fd` (MSG_NOSIGNAL), retrying on EINTR.
 bool write_all_fd(int fd, const Byte* data, std::size_t len);
 
+/// Frame bound for replica peers (state-transfer chunks are large).
+inline constexpr std::uint32_t kMaxFrameReplica = 64u << 20;
+/// Frame bound for client peers (requests are small; a hostile client
+/// must not make the replica allocate big buffers).
+inline constexpr std::uint32_t kMaxFrameClient = 1u << 20;
+/// Nodes at or above this id are clients: sheddable admission, client
+/// frame bound, reply routing over their accepted connection. Matches
+/// protocol::kClientIdBase without a protocol-layer dependency
+/// (transport_test asserts that the two agree).
+inline constexpr crypto::KeyNodeId kClientNodeFloor = 1000;
+
 struct TcpOptions {
   /// Event-loop lane threads; connections are multiplexed over them by
   /// lane % lane_threads. Replicas typically run one per pillar (NP).
   std::uint32_t lane_threads = 2;
-  /// Frame bound for replica peers (state-transfer chunks are large).
-  std::uint32_t max_frame_replica = 64u << 20;
-  /// Frame bound for client peers (requests are small; a hostile client
-  /// must not make the replica allocate big buffers).
-  std::uint32_t max_frame_client = 1u << 20;
-  /// Per-connection outbound budgets; past them frames are dropped (the
-  /// egress side of admission control — a slow peer sheds, never blocks).
-  std::size_t conn_out_frames = 1 << 16;
-  std::size_t conn_out_bytes = 128u << 20;
-  /// Nodes at or above this id are clients: sheddable admission, client
-  /// frame bound, reply routing over their accepted connection. Matches
-  /// protocol::kClientIdBase without a protocol-layer dependency.
-  crypto::KeyNodeId client_node_floor = 1000;
   EventLoopOptions loop;
 };
 

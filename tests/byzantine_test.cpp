@@ -13,7 +13,7 @@ ProtocolConfig byz_config() {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 10;
   cfg.window = 40;
-  cfg.batching = false;
+  cfg.max_batch = 1;
   cfg.view_change_timeout_us = 0;
   cfg.retransmit_interval_us = 0;
   return cfg;

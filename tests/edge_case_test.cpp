@@ -16,7 +16,7 @@ ProtocolConfig edge_config() {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 10;
   cfg.window = 40;
-  cfg.batching = false;
+  cfg.max_batch = 1;
   cfg.view_change_timeout_us = 0;
   cfg.retransmit_interval_us = 0;
   return cfg;
@@ -125,7 +125,6 @@ TEST(CoreEdges, EmptyPayloadRequestsAreOrdered) {
 
 TEST(CoreEdges, ManyClientsInterleavedIdsStayDistinct) {
   auto cfg = edge_config();
-  cfg.batching = true;
   cfg.max_batch = 16;
   PillarGroupHarness h({cfg});
   // Two clients using the *same* request ids: keys must not collide.

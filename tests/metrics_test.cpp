@@ -176,7 +176,7 @@ TEST(MetricsQueue, DepthGaugeAndBlockedPushCounter) {
   EXPECT_EQ(depth.max(), 2) << "watermark survives the drain";
 }
 
-TEST(MetricsQueue, TryPushCountsBlockedLikePush) {
+TEST(MetricsQueue, TryPushRejectionIsNotABlockedPush) {
   BoundedQueue<int> q(1);
   metrics::Gauge depth;
   metrics::Counter blocked;
@@ -186,18 +186,17 @@ TEST(MetricsQueue, TryPushCountsBlockedLikePush) {
   ASSERT_TRUE(q.try_push_ref(first));
   EXPECT_EQ(blocked.value(), 0u) << "successful pushes are not backpressure";
 
-  // A full queue rejects — and must count, exactly like push counts its
-  // full-queue waits, or dashboards undercount backpressure wherever the
-  // caller uses the non-blocking path (e.g. a client Inbox's try_deliver).
+  // A full queue rejects without counting: try_push_ref is an admission
+  // probe, and blocked_pushes counts only producers that waited.
   int kept = 3;
   EXPECT_FALSE(q.try_push_ref(kept));
   EXPECT_EQ(kept, 3) << "try_push_ref leaves the value intact on failure";
-  EXPECT_EQ(blocked.value(), 1u);
+  EXPECT_EQ(blocked.value(), 0u);
 
   // Closed-queue rejection is shutdown, not backpressure: no count.
   q.close();
   EXPECT_FALSE(q.try_push_ref(kept));
-  EXPECT_EQ(blocked.value(), 1u);
+  EXPECT_EQ(blocked.value(), 0u);
 }
 
 #endif  // COP_METRICS_ENABLED

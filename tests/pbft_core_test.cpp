@@ -14,7 +14,7 @@ ProtocolConfig small_config() {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 10;
   cfg.window = 40;
-  cfg.batching = false;
+  cfg.max_batch = 1;
   cfg.view_change_timeout_us = 0;  // disabled unless a test enables it
   return cfg;
 }
@@ -62,7 +62,6 @@ TEST(PbftCore, ManyRequestsSameOrderEverywhere) {
 
 TEST(PbftCore, BatchingPacksPendingRequests) {
   auto cfg = small_config();
-  cfg.batching = true;
   cfg.max_batch = 8;
   cfg.max_active_proposals = 1;  // makes batch formation deterministic
   PillarGroupHarness h({cfg});
@@ -246,7 +245,7 @@ TEST(PbftCore, FillGapProposesNoops) {
 
 TEST(PbftCore, FillGapPrefersPendingRequests) {
   auto cfg = small_config();
-  cfg.batching = true;
+  cfg.max_batch = 200;
   PillarGroupHarness h({cfg, SeqSlice{0, 2}});
   // One pending request at the leader; gap fill should order it, not a
   // no-op, then fill the remainder with no-ops.
@@ -291,7 +290,7 @@ TEST(PbftCore, TwoSlicesFormGaplessTotalOrder) {
   // must enumerate 2,3,4,... densely when both have traffic. (Seq 1 is
   // slice {1,2}'s first member; slice {0,2} starts at 2.)
   auto cfg = small_config();
-  cfg.batching = false;
+  cfg.max_batch = 1;
   PillarGroupHarness g0({cfg, SeqSlice{0, 2}, 1});
   PillarGroupHarness g1({cfg, SeqSlice{1, 2}, 2});
   for (int i = 1; i <= 10; ++i) {
@@ -315,7 +314,7 @@ TEST(PbftCore, TwoSlicesFormGaplessTotalOrder) {
 TEST(PbftCore, SingleInstanceModeSerializesProposals) {
   auto cfg = small_config();
   cfg.max_active_proposals = 1;
-  cfg.batching = false;
+  cfg.max_batch = 1;
   PillarGroupHarness h({cfg});
   for (int i = 1; i <= 6; ++i) h.client_request(1001, i, payload(i), {0});
   // Before any network step, only one proposal may be outstanding.
@@ -328,7 +327,6 @@ TEST(PbftCore, SingleInstanceModeSerializesProposals) {
 TEST(PbftCore, SingleInstanceWithBatchingScales) {
   auto cfg = small_config();
   cfg.max_active_proposals = 1;
-  cfg.batching = true;
   cfg.max_batch = 100;
   PillarGroupHarness h({cfg});
   for (int i = 1; i <= 50; ++i) h.client_request(1001, i, payload(i), {0});
@@ -358,7 +356,7 @@ TEST(PbftCore, RotatingLeadersAllPropose) {
 TEST(PbftCore, RotationTotalOrderConsistent) {
   auto cfg = small_config();
   cfg.leader_scheme = LeaderScheme::kRotating;
-  cfg.batching = true;
+  cfg.max_batch = 200;
   PillarGroupHarness h({cfg, SeqSlice{0, 1}, 3, /*shuffle=*/true});
   for (int i = 1; i <= 40; ++i) h.client_request(1001, i, payload(i));
   h.run_until_quiescent();

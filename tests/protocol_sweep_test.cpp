@@ -36,7 +36,6 @@ TEST_P(ProtocolSweep, AllRequestsDeliveredOnceGapFree) {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = param.checkpoint_interval;
   cfg.window = 4 * param.checkpoint_interval;
-  cfg.batching = param.max_batch > 1;
   cfg.max_batch = param.max_batch;
   cfg.max_active_proposals = param.max_active;
   cfg.leader_scheme = param.scheme;
@@ -154,7 +153,6 @@ TEST_P(MultiSliceSweep, InterleavedSlicesStayDenseWithGapFilling) {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 12;
   cfg.window = 48;
-  cfg.batching = true;
   cfg.max_batch = 4;
   cfg.view_change_timeout_us = 0;
 

@@ -14,7 +14,7 @@ ProtocolConfig rt_config() {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 10;
   cfg.window = 40;
-  cfg.batching = false;
+  cfg.max_batch = 1;
   cfg.view_change_timeout_us = 0;  // isolate retransmission from VC
   cfg.retransmit_interval_us = 100'000;
   return cfg;

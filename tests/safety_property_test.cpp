@@ -17,7 +17,6 @@ ProtocolConfig prop_config() {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 20;
   cfg.window = 80;
-  cfg.batching = true;
   cfg.max_batch = 8;
   cfg.max_active_proposals = 4;
   cfg.view_change_timeout_us = 0;

@@ -55,7 +55,6 @@ class Cluster {
         runtime.num_pillars = 1;
         runtime.protocol.num_pillars = 1;
         runtime.protocol.max_active_proposals = 1;
-        runtime.protocol.batching = true;
         break;
     }
 

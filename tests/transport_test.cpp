@@ -12,6 +12,7 @@
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "protocol/types.hpp"
 #include "transport/event_loop.hpp"
 #include "transport/inproc.hpp"
 #include "transport/tcp.hpp"
@@ -20,6 +21,10 @@ namespace copbft::test {
 namespace {
 
 using namespace copbft::transport;
+
+// The transport tells clients from replicas without depending on the
+// protocol layer; both must draw the line at the same node id.
+static_assert(kClientNodeFloor == protocol::kClientIdBase);
 
 // ---- in-process -------------------------------------------------------
 
@@ -90,6 +95,8 @@ TEST(Inproc, PerSenderFifoOrder) {
 
 // ---- TCP --------------------------------------------------------------
 
+// Every base lies below 32768, outside the kernel's default ephemeral
+// port range: dialed sockets in TIME-WAIT hold ports inside that range.
 std::uint16_t pick_port(std::uint16_t base) {
   // Spread across runs to dodge TIME_WAIT collisions.
   auto salt = static_cast<std::uint32_t>(
@@ -100,7 +107,7 @@ std::uint16_t pick_port(std::uint16_t base) {
 class TcpTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_port_ = pick_port(45000);
+    base_port_ = pick_port(25000);
     peers_[1] = {"127.0.0.1", base_port_};
     peers_[2] = {"127.0.0.1", static_cast<std::uint16_t>(base_port_ + 1)};
     a_ = std::make_unique<TcpTransport>(1, base_port_, peers_);
@@ -156,6 +163,70 @@ TEST_F(TcpTest, EmptyAndLargeFrames) {
   EXPECT_EQ(large->bytes, big);
 }
 
+// ---- per-peer frame bounds ---------------------------------------------
+
+constexpr std::size_t kOversizedForClients = 2 * kMaxFrameClient;
+static_assert(kOversizedForClients <= kMaxFrameReplica);
+
+// Replica peers carry state-transfer chunks: a frame above the client
+// bound still arrives.
+TEST_F(TcpTest, ReplicaPeerFrameAboveClientBoundArrives) {
+  Bytes big(kOversizedForClients, Byte{0x3c});
+  ASSERT_TRUE(a_->send(2, 0, big));
+  auto frame = b_inbox_->queue().pop_for(std::chrono::microseconds(5'000'000));
+  ASSERT_TRUE(frame);
+  EXPECT_EQ(frame->from, 1u);
+  EXPECT_EQ(frame->bytes, big);
+}
+
+// A client's length header above the client bound is a protocol error:
+// the replica drops the frame unread and closes the connection.
+TEST(TcpFrameBound, ClientFrameAboveClientBoundClosesTheConnection) {
+  const std::uint16_t port = pick_port(24500);
+  std::map<crypto::KeyNodeId, TcpPeer> none;
+  TcpTransport replica(1, port, none);
+  auto replica_inbox = std::make_shared<Inbox>();
+  replica.register_sink(0, replica_inbox);
+  ASSERT_TRUE(replica.start());
+
+  std::map<crypto::KeyNodeId, TcpPeer> peers;
+  peers[1] = {"127.0.0.1", port};
+  TcpTransport mux(7000, /*listen_port=*/0, peers);
+  ASSERT_TRUE(mux.start());
+  const crypto::KeyNodeId client = protocol::kClientIdBase + 7;
+  auto endpoint = mux.client_endpoint(client);
+  ASSERT_TRUE(endpoint);
+  auto client_inbox = std::make_shared<Inbox>();
+  endpoint->register_sink(0, client_inbox);
+
+  // A small frame first: the connection is up and routes replies.
+  ASSERT_TRUE(endpoint->send(1, 0, to_bytes("small")));
+  auto small =
+      replica_inbox->queue().pop_for(std::chrono::microseconds(2'000'000));
+  ASSERT_TRUE(small);
+  EXPECT_EQ(small->from, client);
+  ASSERT_TRUE(replica.send(client, 0, to_bytes("reply")));
+  ASSERT_TRUE(
+      client_inbox->queue().pop_for(std::chrono::microseconds(2'000'000)));
+
+  ASSERT_TRUE(endpoint->send(1, 0, Bytes(kOversizedForClients, Byte{0x3c})));
+  // The replica has no address for the client, so once the accepted
+  // connection is gone a reply has no route.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool routed = true;
+  while (routed && std::chrono::steady_clock::now() < deadline) {
+    routed = replica.send(client, 0, to_bytes("reply"));
+    if (routed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(routed) << "the oversized frame did not close the connection";
+  EXPECT_FALSE(replica_inbox->queue().try_pop())
+      << "the oversized frame was delivered";
+
+  mux.shutdown();
+  replica.shutdown();
+}
+
 TEST_F(TcpTest, LanesUseSeparateConnections) {
   ASSERT_TRUE(a_->send(2, 0, to_bytes("lane0")));
   ASSERT_TRUE(a_->send(2, 1, to_bytes("lane1")));
@@ -198,7 +269,7 @@ TEST_F(TcpTest, SendAfterShutdownFails) {
 // peer's listen(). The bounded backoff in connect_with_retry must bridge a
 // listener that shows up tens of milliseconds late.
 TEST(TcpConnectRetry, BridgesLateListener) {
-  std::uint16_t port = pick_port(46000);
+  std::uint16_t port = pick_port(26000);
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[2] = {"127.0.0.1", port};
 
@@ -230,7 +301,7 @@ TEST(TcpConnectRetry, BridgesLateListener) {
 // The retry is bounded: with no listener ever appearing, send() must give
 // up after the configured attempts instead of spinning forever.
 TEST(TcpConnectRetry, GivesUpAfterBoundedAttempts) {
-  std::uint16_t port = pick_port(46500);
+  std::uint16_t port = pick_port(26500);
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[2] = {"127.0.0.1", port};
 
@@ -468,7 +539,7 @@ TEST(TcpFdHygiene, ConnDestructorClosesTheSocket) {
 // traffic both ways, failed dials, shutdown — must return the process to
 // its baseline descriptor count.
 TEST(TcpFdHygiene, LifecyclesLeakNoDescriptors) {
-  const std::uint16_t port = pick_port(47000);
+  const std::uint16_t port = pick_port(27000);
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[1] = {"127.0.0.1", port};
   peers[2] = {"127.0.0.1", static_cast<std::uint16_t>(port + 1)};
@@ -507,7 +578,7 @@ TEST(TcpFdHygiene, LifecyclesLeakNoDescriptors) {
 // dialed: the replica has no peer entry for the client (clients have no
 // listen port), so the accepted-connection route is the only way home.
 TEST(TcpClientRoute, RepliesRideTheAcceptedConnection) {
-  const std::uint16_t port = pick_port(47500);
+  const std::uint16_t port = pick_port(27500);
   std::map<crypto::KeyNodeId, TcpPeer> replica_peers;  // knows nobody
   TcpTransport replica(1, port, replica_peers);
   auto replica_inbox = std::make_shared<Inbox>();
@@ -542,7 +613,7 @@ TEST(TcpClientRoute, RepliesRideTheAcceptedConnection) {
 // transport's sockets and loops, each dialing with its own node id and
 // receiving its own replies on its own sink.
 TEST(TcpClientRoute, EndpointsKeepTheirIdentities) {
-  const std::uint16_t port = pick_port(48000);
+  const std::uint16_t port = pick_port(28000);
   std::map<crypto::KeyNodeId, TcpPeer> none;
   TcpTransport replica(1, port, none);
   auto replica_inbox = std::make_shared<Inbox>();
@@ -598,7 +669,7 @@ std::uint64_t counter_value(const std::string& name) {
 // ingress (bounded retry queue, then drop) — never block the loop thread,
 // never grow memory without bound.
 TEST(TcpAdmission, OverloadShedsClientFramesAtIngress) {
-  const std::uint16_t port = pick_port(48500);
+  const std::uint16_t port = pick_port(28500);
   TcpOptions opts;
   opts.loop.ingress_retry_budget = 4;
   opts.loop.ingress_retry_deadline_us = 2'000;
@@ -634,7 +705,7 @@ TEST(TcpAdmission, OverloadShedsClientFramesAtIngress) {
 // parks decoded frames and disarms EPOLLIN (TCP flow control pushes back);
 // every frame arrives, in order, with zero sheds.
 TEST(TcpAdmission, ReplicaPeersAreLosslessUnderBackpressure) {
-  const std::uint16_t port = pick_port(49000);
+  const std::uint16_t port = pick_port(29000);
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[1] = {"127.0.0.1", port};
   peers[2] = {"127.0.0.1", static_cast<std::uint16_t>(port + 1)};
@@ -701,7 +772,7 @@ constexpr int kSoakClients = 2000;
 // two lane threads; under nominal load every request is admitted (zero
 // sheds) and every client gets its reply.
 TEST(TcpSoak, ThousandsOfClientsRoundTrip) {
-  const std::uint16_t port = pick_port(49500);
+  const std::uint16_t port = pick_port(29500);
   std::map<crypto::KeyNodeId, TcpPeer> none;
   TcpTransport replica(1, port, none);
   auto echo = std::make_shared<EchoSink>(replica);

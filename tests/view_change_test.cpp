@@ -20,7 +20,7 @@ ProtocolConfig vc_config() {
   cfg.max_faulty = 1;
   cfg.checkpoint_interval = 10;
   cfg.window = 40;
-  cfg.batching = false;
+  cfg.max_batch = 1;
   cfg.view_change_timeout_us = 1'000'000;
   return cfg;
 }
@@ -223,7 +223,7 @@ TEST(ViewChange, PillarWhoseFirstFrameIsAProposalStartsNoViewChange) {
   core::ReplicaRuntimeConfig config;
   config.num_pillars = 1;
   config.protocol.num_pillars = 1;
-  config.protocol.batching = false;
+  config.protocol.max_batch = 1;
   auto crypto = crypto::make_real_crypto(5);
 
   // The view-0 leader (replica 0) proposes one client-signed request.
