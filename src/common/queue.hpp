@@ -21,7 +21,8 @@ namespace copbft {
 ///
 /// push() blocks while full; pop() blocks while empty. close() wakes all
 /// waiters: subsequent push() calls fail, pop() drains remaining elements
-/// and then returns nullopt.
+/// and then returns nullopt. wake() ends one pop_for() wait early without
+/// an element, so a consumer can be told to look at other work.
 template <typename T>
 class BoundedQueue {
  public:
@@ -83,15 +84,17 @@ class BoundedQueue {
     return value;
   }
 
-  /// Pop with timeout; nullopt on timeout or on closed-and-drained.
+  /// Pop with timeout; nullopt on timeout, on closed-and-drained, or on a
+  /// wake() with nothing queued. Every return consumes a pending wake().
   std::optional<T> pop_for(std::chrono::microseconds timeout) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     CvLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
+    while (!closed_ && items_.empty() && !woken_) {
       if (not_empty_.wait_until(lock, deadline) ==
           std::cv_status::timeout)
         break;
     }
+    woken_ = false;
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
@@ -111,6 +114,16 @@ class BoundedQueue {
     lock.unlock();
     not_full_.notify_one();
     return value;
+  }
+
+  /// Makes a waiting pop_for() return at once, or, with no waiter, the
+  /// next one: a wake is never lost.
+  void wake() {
+    {
+      MutexLock lock(mutex_);
+      woken_ = true;
+    }
+    not_empty_.notify_all();
   }
 
   void close() {
@@ -146,6 +159,7 @@ class BoundedQueue {
   Cv not_full_;
   std::deque<T> items_ COP_GUARDED_BY(mutex_);
   bool closed_ COP_GUARDED_BY(mutex_) = false;
+  bool woken_ COP_GUARDED_BY(mutex_) = false;
   metrics::Gauge* depth_gauge_ COP_GUARDED_BY(mutex_) = nullptr;
   metrics::Counter* blocked_pushes_ COP_GUARDED_BY(mutex_) = nullptr;
 };

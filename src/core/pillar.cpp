@@ -62,14 +62,18 @@ void Pillar::stop() {
 }
 
 void Pillar::run() {
-  const auto poll = std::chrono::microseconds(1000);
+  // The heartbeat: the longest wait for an event, and the period of the
+  // core's tick and of the stats snapshot. A wait that times out has
+  // lasted a full period, so it always ticks.
+  constexpr std::uint64_t kHeartbeatUs = 1000;
   // Arms the core's view-change progress timer while it is still idle. A
   // core that has never ticked measures a stall from time zero, so a
   // proposal dequeued before the first tick would start a spurious view
   // change at once.
-  core_.tick(now_us());
+  std::uint64_t last_tick_us = now_us();
+  core_.tick(last_tick_us);
   while (true) {
-    auto event = queue_.pop_for(poll);
+    auto event = queue_.pop_for(std::chrono::microseconds(kHeartbeatUs));
     if (!event && queue_.closed()) {
       publish_stats();
       return;
@@ -84,9 +88,13 @@ void Pillar::run() {
         handle_prepared(std::get<PreparedInput>(*event));
       }
     }
-    core_.tick(now_us());
+    const std::uint64_t now = now_us();
+    if (now >= last_tick_us + kHeartbeatUs) {
+      last_tick_us = now;
+      core_.tick(now);
+      publish_stats();
+    }
     drain_effects();
-    publish_stats();
   }
 }
 

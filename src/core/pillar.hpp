@@ -65,17 +65,18 @@ class Pillar final : public transport::FrameSink {
 
   /// Commands from the execution stage, sibling pillars and the
   /// state-transfer manager. Uses a separate queue with ample headroom so
-  /// a poster never blocks on a pillar whose main queue is full. A push
-  /// does not wake a parked pillar: it drains commands at its next frame
-  /// or 1 ms heartbeat.
+  /// a poster never blocks on a pillar whose main queue is full. The push
+  /// then wakes a parked pillar, which drains its commands at once.
   bool post_command(PillarCommand command) {
-    return commands_.push(std::move(command));
+    if (!commands_.push(std::move(command))) return false;
+    queue_.wake();
+    return true;
   }
 
   std::uint32_t index() const { return index_; }
   /// Core statistics. Returns the snapshot the pillar thread published at
-  /// its last loop turn (and finally at exit), so concurrent reads are
-  /// safe while the pillar runs and exact after stop().
+  /// its last 1 ms heartbeat (and finally at exit): while the pillar runs a
+  /// read is safe but may lag by a heartbeat; after stop() it is exact.
   protocol::CoreStats core_stats() const {
     MutexLock lock(stats_mutex_);
     return stats_snapshot_;

@@ -243,12 +243,14 @@ bool PbftCore::accept_pre_prepare(const PrePrepare& pp, ReplicaId proposer,
   }
 
   Instance& inst = instance_at(pp.seq);
+  remove_outstanding(inst);
   inst.view = pp.view;
   inst.proposer = proposer;
   inst.have_pre_prepare = true;
+  add_outstanding(inst);
   inst.digest = pp.digest;
   inst.requests = std::make_shared<const std::vector<Request>>(pp.requests);
-  inst.last_activity_us = now_us_;
+  note_activity(inst.last_activity_us);
   trace_instance(trace::Point::kPrePrepare, self_, slice_, pp.seq, pp.view);
 
   // These requests now have a place in the total order; drop our pending
@@ -309,7 +311,7 @@ void PbftCore::handle_vote(IncomingMessage im) {
     // (e.g. it lost our commit): help it with a rate-limited re-send.
     if (config_.retransmit_interval_us != 0 && inst.sent_commit &&
         now_us_ >= inst.last_activity_us + config_.retransmit_interval_us) {
-      inst.last_activity_us = now_us_;
+      note_activity(inst.last_activity_us);
       emit(SendTo{v.replica, Commit{inst.view, v.seq, inst.digest, self_, {}}});
     }
     ++stats_.verifications_skipped;
@@ -347,7 +349,7 @@ void PbftCore::handle_vote(IncomingMessage im) {
 void PbftCore::count_vote(Instance& inst, MsgType type, ReplicaId from,
                           const crypto::Digest& digest) {
   if (digest != inst.digest) return;
-  inst.last_activity_us = now_us_;
+  note_activity(inst.last_activity_us);
   if (type == MsgType::kPrepare) {
     if (from != inst.proposer) inst.prepares.insert(from);
   } else {
@@ -418,6 +420,7 @@ void PbftCore::evaluate(Instance& inst) {
 
 void PbftCore::deliver(Instance& inst) {
   if (inst.delivered) return;
+  remove_outstanding(inst);
   inst.delivered = true;
   trace_instance(trace::Point::kCommit, self_, slice_, inst.seq, inst.view);
   note_progress();
@@ -435,22 +438,35 @@ PbftCore::Instance& PbftCore::instance_at(SeqNum seq) {
     it->second.seq = seq;
     it->second.view = view_;
     it->second.proposer = config_.leader_for(view_, seq);
-    it->second.last_activity_us = now_us_;
+    note_activity(it->second.last_activity_us);
   }
   return it->second;
 }
 
+void PbftCore::add_outstanding(const Instance& inst) {
+  if (!inst.have_pre_prepare || inst.delivered) return;
+  ++outstanding_;
+  if (inst.proposer == self_) ++own_outstanding_;
+}
+
+void PbftCore::remove_outstanding(const Instance& inst) {
+  if (!inst.have_pre_prepare || inst.delivered) return;
+  --outstanding_;
+  if (inst.proposer == self_) --own_outstanding_;
+}
+
+std::pair<std::size_t, std::size_t> PbftCore::scan_outstanding() const {
+  std::size_t all = 0, own = 0;
+  for (const auto& [seq, inst] : instances_) {
+    if (!inst.have_pre_prepare || inst.delivered) continue;
+    ++all;
+    if (inst.proposer == self_) ++own;
+  }
+  return {all, own};
+}
+
 // --------------------------------------------------------------------------
 // proposing
-
-std::size_t PbftCore::own_active_proposals() const {
-  std::size_t active = 0;
-  for (const auto& [seq, inst] : instances_) {
-    if (inst.have_pre_prepare && inst.proposer == self_ && !inst.delivered)
-      ++active;
-  }
-  return active;
-}
 
 /// Advances the proposal index past every slot that already has an
 /// accepted proposal (ours or, under rotation, a peer's). Never skips an
@@ -472,7 +488,7 @@ void PbftCore::maybe_propose() {
     if (config_.leader_for(view_, seq) != self_) return;
     if (!in_window(seq)) return;
     if (config_.max_active_proposals != 0 &&
-        own_active_proposals() >= config_.max_active_proposals)
+        own_outstanding_ >= config_.max_active_proposals)
       return;
     std::vector<Request> batch = collect_batch(config_.max_batch);
     if (batch.empty()) return;
@@ -509,9 +525,11 @@ void PbftCore::propose_batch(std::vector<Request> batch) {
   pp.requests = std::move(batch);
 
   Instance& inst = instance_at(seq);
+  remove_outstanding(inst);
   inst.view = view_;
   inst.proposer = self_;
   inst.have_pre_prepare = true;
+  add_outstanding(inst);
   inst.digest = pp.digest;
   inst.requests =
       std::make_shared<const std::vector<Request>>(pp.requests);
@@ -562,7 +580,7 @@ void PbftCore::fetch_missing_upto(SeqNum upto, std::uint64_t now_us) {
     Instance& inst = instance_at(seq);
     if (inst.have_pre_prepare) continue;
     if (inst.proposer == self_) continue;  // ours to propose, not to fetch
-    inst.last_activity_us = now_us_;
+    note_activity(inst.last_activity_us);
     emit(SendTo{inst.proposer, Fetch{view_, seq, self_, {}}});
   }
 }
@@ -611,7 +629,7 @@ void PbftCore::start_checkpoint(SeqNum seq, const crypto::Digest& digest,
   CheckpointState& state = checkpoints_[seq];
   if (state.have_own) return;
   state.have_own = true;
-  state.last_activity_us = now_us_;
+  note_activity(state.last_activity_us);
   state.votes[self_] = digest;
   emit(Broadcast{CheckpointMsg{seq, digest, self_, {}}});
   evaluate_checkpoint(seq, state);
@@ -639,7 +657,7 @@ void PbftCore::handle_checkpoint(IncomingMessage im) {
     return;
   }
   state.votes[cp.replica] = cp.digest;
-  state.last_activity_us = now_us_;
+  note_activity(state.last_activity_us);
   evaluate_checkpoint(cp.seq, state);
 }
 
@@ -676,6 +694,7 @@ void PbftCore::make_stable(SeqNum seq, const crypto::Digest& digest,
     if (it->second.requests)
       for (const Request& req : *it->second.requests)
         ordered_keys_.erase(req.key());
+    remove_outstanding(it->second);
     it = instances_.erase(it);
   }
   for (auto it = checkpoints_.begin();
@@ -714,16 +733,15 @@ void PbftCore::note_checkpoint_stable(SeqNum seq,
 // --------------------------------------------------------------------------
 // view change
 
-bool PbftCore::has_outstanding_work() const {
-  if (!pending_.empty()) return true;
-  for (const auto& [seq, inst] : instances_)
-    if (inst.have_pre_prepare && !inst.delivered) return true;
-  return false;
-}
-
 void PbftCore::tick(std::uint64_t now_us) {
   now_us_ = now_us;
-  if (config_.retransmit_interval_us != 0 && !view_changing_)
+  COP_INVARIANT(scan_outstanding() ==
+                    std::make_pair(outstanding_, own_outstanding_),
+                "outstanding-instance counts %zu/%zu (all/own) disagree with "
+                "the instance log",
+                outstanding_, own_outstanding_);
+  if (config_.retransmit_interval_us != 0 && !view_changing_ &&
+      now_us_ >= retransmit_due_us_)
     retransmit_stalled();
   if (config_.view_change_timeout_us == 0) return;  // disabled
   if (!has_outstanding_work()) {
@@ -738,10 +756,16 @@ void PbftCore::tick(std::uint64_t now_us) {
 
 void PbftCore::retransmit_stalled() {
   const std::uint64_t interval = config_.retransmit_interval_us;
+  // The bound takes every undelivered instance, in the window or not, so a
+  // window slide cannot bring one into range past its deadline unseen.
+  std::uint64_t due = UINT64_MAX;
   for (auto& [seq, inst] : instances_) {
-    if (inst.delivered || !in_window(seq)) continue;
-    if (now_us_ < inst.last_activity_us + interval) continue;
-    inst.last_activity_us = now_us_;
+    if (inst.delivered) continue;
+    const bool stalled =
+        in_window(seq) && now_us_ >= inst.last_activity_us + interval;
+    if (stalled) inst.last_activity_us = now_us_;
+    due = std::min(due, inst.last_activity_us + interval);
+    if (!stalled) continue;
     if (inst.have_pre_prepare) {
       if (inst.proposer == self_ && inst.requests) {
         PrePrepare pp;
@@ -763,10 +787,13 @@ void PbftCore::retransmit_stalled() {
   }
   for (auto& [seq, state] : checkpoints_) {
     if (state.stable || !state.have_own) continue;
-    if (now_us_ < state.last_activity_us + interval) continue;
-    state.last_activity_us = now_us_;
-    emit(Broadcast{CheckpointMsg{seq, state.votes.at(self_), self_, {}}});
+    const bool stalled = now_us_ >= state.last_activity_us + interval;
+    if (stalled) state.last_activity_us = now_us_;
+    due = std::min(due, state.last_activity_us + interval);
+    if (stalled)
+      emit(Broadcast{CheckpointMsg{seq, state.votes.at(self_), self_, {}}});
   }
+  retransmit_due_us_ = due;
 }
 
 void PbftCore::handle_fetch(IncomingMessage im) {
@@ -933,9 +960,11 @@ void PbftCore::apply_new_view(const NewView& nv) {
       continue;
     }
     // (Re-)initialize the instance under the new view's authority.
+    remove_outstanding(inst);
     inst.view = nv.view;
     inst.proposer = coordinator;
     inst.have_pre_prepare = true;
+    add_outstanding(inst);
     inst.digest = pp.digest;
     inst.requests = std::make_shared<const std::vector<Request>>(pp.requests);
     inst.prepares.clear();
@@ -964,6 +993,7 @@ void PbftCore::apply_new_view(const NewView& nv) {
   for (auto it = instances_.begin(); it != instances_.end();) {
     Instance& inst = it->second;
     if (inst.seq > top && inst.view < nv.view && !inst.delivered) {
+      remove_outstanding(inst);
       it = instances_.erase(it);
     } else {
       ++it;

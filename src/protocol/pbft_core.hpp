@@ -17,12 +17,15 @@
 // authenticator — the host attaches it (in place, or in auth threads).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "protocol/config.hpp"
@@ -133,8 +136,10 @@ class PbftCore {
   /// so the tail above the restored checkpoint can be ordered.
   void fetch_missing_upto(SeqNum upto, std::uint64_t now_us);
 
-  /// Drives timeouts (view change suspicion). Hosts call this at a coarse
-  /// period; `now_us` is host time (real or simulated).
+  /// Drives timeouts (view change suspicion) and retransmission. Hosts
+  /// call this at a coarse period; `now_us` is host time (real or
+  /// simulated). It walks the instance log only once a retransmission
+  /// deadline is due (and for its COP_INVARIANT cross-check).
   void tick(std::uint64_t now_us);
 
   // ---- outputs ----------------------------------------------------------
@@ -200,8 +205,16 @@ class PbftCore {
   void handle_fetch(IncomingMessage im);
 
   /// Re-emits this replica's messages for instances/checkpoints that made
-  /// no progress for retransmit_interval_us (liveness under loss).
+  /// no progress for retransmit_interval_us (liveness under loss), and
+  /// recomputes retransmit_due_us_ exactly.
   void retransmit_stalled();
+  /// Stamps an instance's or checkpoint's `last_activity_us` with the
+  /// current time and lowers retransmit_due_us_ to the new deadline.
+  void note_activity(std::uint64_t& last_activity_us) {
+    last_activity_us = now_us_;
+    retransmit_due_us_ = std::min(retransmit_due_us_,
+                                  now_us_ + config_.retransmit_interval_us);
+  }
 
   // normal-case machinery
   bool accept_pre_prepare(const PrePrepare& pp, ReplicaId proposer,
@@ -213,12 +226,21 @@ class PbftCore {
   void deliver(Instance& inst);
   Instance& instance_at(SeqNum seq);
 
+  /// An instance is outstanding while it holds a pre-prepare and is not
+  /// delivered. Every change of have_pre_prepare, delivered or proposer
+  /// withdraws the instance's share of the counts before and adds it back
+  /// after; an erase withdraws it.
+  void add_outstanding(const Instance& inst);
+  void remove_outstanding(const Instance& inst);
+  /// {outstanding, own outstanding} re-derived by a scan, for the
+  /// cross-check in tick.
+  std::pair<std::size_t, std::size_t> scan_outstanding() const;
+
   // proposing
   void advance_next_index();
   void maybe_propose();
   void propose_batch(std::vector<Request> batch);
   std::vector<Request> collect_batch(std::uint32_t limit);
-  std::size_t own_active_proposals() const;
 
   // checkpoints
   void evaluate_checkpoint(SeqNum seq, CheckpointState& state);
@@ -254,7 +276,9 @@ class PbftCore {
   /// Emits a rate-limited StateTransferNeeded for evidence at `observed`.
   void hint_state_transfer(SeqNum observed);
   void note_progress() { last_progress_us_ = now_us_; }
-  bool has_outstanding_work() const;
+  bool has_outstanding_work() const {
+    return !pending_.empty() || outstanding_ != 0;
+  }
 
   /// Funnel for all outgoing effects. On a configured adversary this is
   /// where selective vote omission happens (adversary.hpp); everywhere
@@ -287,6 +311,14 @@ class PbftCore {
 
   std::map<SeqNum, Instance> instances_;
   std::map<SeqNum, CheckpointState> checkpoints_;
+  /// Outstanding instances (add_outstanding), and those this replica
+  /// proposed: max_active_proposals counts the latter.
+  std::size_t outstanding_ = 0;
+  std::size_t own_outstanding_ = 0;
+  /// Lower bound on the earliest retransmission deadline
+  /// (last_activity_us + retransmit_interval_us) of any undelivered
+  /// instance or unstable own checkpoint; tick skips the walk before it.
+  std::uint64_t retransmit_due_us_ = UINT64_MAX;
 
   std::deque<Request> pending_;
   /// Over-window holding pen (just_over_window): replayed on window

@@ -63,7 +63,9 @@ TEST(Byzantine, EquivocatingLeaderCannotCauseDisagreement) {
     for (const auto& batch : h.delivered(r)) {
       std::string value = to_string(batch.requests.at(0).payload);
       auto [it, inserted] = committed.try_emplace(batch.seq, value);
-      if (!inserted) EXPECT_EQ(it->second, value) << "disagreement!";
+      if (!inserted) {
+        EXPECT_EQ(it->second, value) << "disagreement!";
+      }
     }
   }
 }
@@ -94,9 +96,10 @@ TEST(Byzantine, MismatchedVoteDigestRejected) {
   }
   auto effects = follower.take_effects();
   for (const auto& effect : effects) {
-    if (const auto* bc = std::get_if<Broadcast>(&effect))
+    if (const auto* bc = std::get_if<Broadcast>(&effect)) {
       EXPECT_FALSE(std::holds_alternative<Commit>(bc->msg))
           << "prepared with forged digests!";
+    }
   }
   EXPECT_GE(follower.stats().invalid_dropped, 2u);
 }

@@ -147,7 +147,11 @@ TEST(CopCluster, MultipleClientsAcrossPillars) {
   for (auto* c : clients) c->drain();
   EXPECT_EQ(done.load(), 120);
 
-  // All pillars carried instances (the partitioned sequencer worked).
+  // All pillars carried instances (the partitioned sequencer worked). A
+  // running pillar publishes its stats once per 1 ms heartbeat, and the
+  // whole run can take about that long; a stopped one has published its
+  // final counts.
+  cluster.stop();
   auto& cop = dynamic_cast<CopReplica&>(cluster.replica(0));
   for (std::uint32_t p = 0; p < 3; ++p)
     EXPECT_GT(cop.pillar(p).core_stats().instances_delivered, 0u)
@@ -329,6 +333,9 @@ TEST(FaultTolerance, LeaderCrashTriggersViewChangeInRuntime) {
     auto reply = client.invoke(to_bytes("v1-" + std::to_string(i)));
     ASSERT_TRUE(reply.has_value()) << i;
   }
+  // The new view can be less than one 1 ms stats heartbeat old here; the
+  // stopped replicas have published their final counts.
+  cluster.stop();
   bool view_advanced = false;
   for (protocol::ReplicaId r = 1; r < 4; ++r)
     view_advanced |=

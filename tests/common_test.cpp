@@ -103,6 +103,44 @@ TEST(BoundedQueue, PopForTimesOut) {
   EXPECT_GE(elapsed, std::chrono::microseconds(15'000));
 }
 
+TEST(BoundedQueue, WakeEndsAWaitingPopFor) {
+  BoundedQueue<int> q(8);
+  std::thread waker([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.wake();
+  });
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(q.pop_for(std::chrono::seconds(10)), std::nullopt);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  waker.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(5)) << "the wait ran to its timeout";
+}
+
+TEST(BoundedQueue, WakeWithoutAWaiterIsNotLost) {
+  BoundedQueue<int> q(8);
+  q.wake();
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(q.pop_for(std::chrono::seconds(10)), std::nullopt);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+      << "the wake was lost";
+  // The return consumed the wake: the next wait runs to its timeout.
+  start = std::chrono::steady_clock::now();
+  EXPECT_EQ(q.pop_for(std::chrono::microseconds(20'000)), std::nullopt);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::microseconds(15'000));
+}
+
+TEST(BoundedQueue, WakeKeepsFifoOrder) {
+  BoundedQueue<int> q(8);
+  q.push(1);
+  q.push(2);
+  q.wake();
+  q.push(3);
+  for (int want : {1, 2, 3})
+    EXPECT_EQ(q.pop_for(std::chrono::seconds(10)), want);
+  EXPECT_EQ(q.try_pop(), std::nullopt);
+}
+
 TEST(BoundedQueue, ProducerConsumerStress) {
   BoundedQueue<int> q(16);
   constexpr int kPerProducer = 5000;

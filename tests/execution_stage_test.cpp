@@ -91,7 +91,9 @@ class ExecutionStageTest : public ::testing::Test {
     // always inside the window authorized by its checkpoint.
     const SeqNum basis =
         seq > config_.protocol.window ? seq - config_.protocol.window : 0;
-    return CommittedBatch{seq, 0, requests, seq % config_.num_pillars, basis};
+    return CommittedBatch{
+        seq, 0, requests,
+        static_cast<std::uint32_t>(seq % config_.num_pillars), basis};
   }
 
   bool wait_stats(const std::function<bool(const ExecutionStats&)>& pred,
@@ -498,7 +500,9 @@ TEST_F(ExecutionStageTest, SequentialWrapAroundExecutesEverything) {
   constexpr SeqNum kChunk = 100;
   for (SeqNum s = 1; s <= kTotal; ++s) {
     stage_->admit(batch(s, {static_cast<RequestId>(s)}));
-    if (s % kChunk == 0) ASSERT_TRUE(wait_replies(s, /*ms=*/10'000)) << s;
+    if (s % kChunk == 0) {
+      ASSERT_TRUE(wait_replies(s, /*ms=*/10'000)) << s;
+    }
   }
   ASSERT_TRUE(wait_replies(kTotal, /*ms=*/10'000));
   stage_->stop();

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
+#include <bit>
 
 #include "support/core_harness.hpp"
 
@@ -336,6 +336,140 @@ TEST(PbftCore, SingleInstanceWithBatchingScales) {
   EXPECT_EQ(h.core(0).stats().requests_delivered, 50u);
 }
 
+// ---- outstanding-work counts -----------------------------------------------
+//
+// The core counts the instances that hold a pre-prepare and are not
+// delivered, and the subset it proposed. max_active_proposals reads the
+// second and the view-change timer the first, so a count left stale by a
+// delivery, a view change or a garbage collection shows as a leader that
+// stops proposing or a follower that misjudges whether it is idle.
+
+TEST(PbftCore, CappedLeadersKeepProposingAcrossAViewChange) {
+  auto cfg = small_config();
+  cfg.max_active_proposals = 1;
+  cfg.view_change_timeout_us = 1'000'000;
+  cfg.retransmit_interval_us = 0;
+  auto options = PillarGroupHarness::Options{cfg};
+  int phase = 0;
+  options.drop = [&phase](ReplicaId from, ReplicaId to, const Message& m) {
+    switch (phase) {
+      case 0:  // seq 1 prepares everywhere but commits only at the leader
+        return to != 0 && std::holds_alternative<Commit>(m);
+      case 1:  // seq 2 is pre-prepared and never prepared
+        return std::holds_alternative<Prepare>(m);
+      default:  // the view-0 leader is gone
+        return from == 0 || to == 0;
+    }
+  };
+  PillarGroupHarness h(std::move(options));
+
+  h.client_request(1001, 1, payload(1));
+  h.run_until_quiescent();
+  ASSERT_EQ(h.delivered(0).size(), 1u);
+  phase = 1;
+  h.client_request(1001, 2, payload(2));
+  h.run_until_quiescent();
+  EXPECT_EQ(h.core(0).stats().proposals, 2u)
+      << "the leader did not propose after its delivery";
+
+  // The new view re-proposes prepared seq 1 under replica 1 and erases
+  // seq 2; replica 1 proposes again once its re-proposal is delivered.
+  phase = 2;
+  h.advance_time(1'500'000);
+  h.tick_all();
+  h.run_until_quiescent();
+  for (ReplicaId r = 1; r < 4; ++r) {
+    ASSERT_EQ(h.core(r).view(), 1u) << "replica " << r;
+    ASSERT_EQ(h.delivered(r).size(), 1u) << "replica " << r;
+  }
+  h.client_request(1001, 2, payload(2), {1, 2, 3});  // client retransmits
+  h.run_until_quiescent();
+  h.client_request(1001, 3, payload(3), {1, 2, 3});
+  h.run_until_quiescent();
+  for (ReplicaId r = 1; r < 4; ++r) {
+    auto batches = h.delivered_sorted(r);
+    ASSERT_EQ(batches.size(), 3u) << "replica " << r;
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      EXPECT_EQ(batches[i].seq, i + 1);
+      EXPECT_EQ(batches[i].view, 1u);
+      EXPECT_EQ(batches[i].requests.at(0).key(), request_key(1001, i + 1));
+    }
+  }
+
+  // Nothing is outstanding: idle followers start no further view change.
+  h.advance_time(1'500'000);
+  h.tick_all();
+  for (ReplicaId r = 1; r < 4; ++r) {
+    EXPECT_EQ(h.core(r).stats().view_changes_started, 1u) << "replica " << r;
+    EXPECT_FALSE(h.core(r).in_view_change()) << "replica " << r;
+  }
+}
+
+TEST(PbftCore, CappedLeaderKeepsProposingWhenACheckpointCollectsItsProposal) {
+  // The leader never sees the commits for its proposal at seq 10, but the
+  // followers deliver it and their checkpoint votes make seq 10 stable at
+  // the leader too: collecting the undelivered proposal frees its slot.
+  auto cfg = small_config();
+  cfg.max_active_proposals = 1;
+  auto options = PillarGroupHarness::Options{cfg};
+  options.drop = [](ReplicaId, ReplicaId to, const Message& m) {
+    const auto* commit = std::get_if<Commit>(&m);
+    return to == 0 && commit != nullptr && commit->seq == 10;
+  };
+  PillarGroupHarness h(std::move(options));
+  for (int i = 1; i <= 10; ++i) h.client_request(1001, i, payload(i));
+  h.run_until_quiescent();
+  ASSERT_EQ(h.delivered(0).size(), 9u) << "the leader delivered seq 10";
+  ASSERT_EQ(h.core(0).stable_seq(), 10u);
+
+  h.client_request(1001, 11, payload(11));
+  h.run_until_quiescent();
+  for (ReplicaId r = 0; r < 4; ++r) {
+    auto batches = h.delivered_sorted(r);
+    ASSERT_FALSE(batches.empty()) << "replica " << r;
+    EXPECT_EQ(batches.back().seq, 11u) << "replica " << r;
+  }
+}
+
+TEST(PbftCore, FollowerHoldingAnUndeliveredProposalStartsAViewChange) {
+  auto cfg = small_config();
+  cfg.view_change_timeout_us = 1'000'000;
+  cfg.retransmit_interval_us = 0;
+  auto options = PillarGroupHarness::Options{cfg};
+  options.drop = [](ReplicaId, ReplicaId, const Message& m) {
+    return std::holds_alternative<Prepare>(m);
+  };
+  PillarGroupHarness h(std::move(options));
+  h.client_request(1001, 1, payload(1));
+  h.run_until_quiescent();
+  for (ReplicaId r = 1; r < 4; ++r)
+    ASSERT_EQ(h.core(r).pending_requests(), 0u)
+        << "only the accepted proposal is outstanding at replica " << r;
+
+  h.advance_time(cfg.view_change_timeout_us - 1);
+  h.tick_all();
+  for (ReplicaId r = 1; r < 4; ++r)
+    EXPECT_EQ(h.core(r).stats().view_changes_started, 0u) << "replica " << r;
+  h.advance_time(1);
+  h.tick_all();
+  for (ReplicaId r = 1; r < 4; ++r)
+    EXPECT_EQ(h.core(r).stats().view_changes_started, 1u) << "replica " << r;
+}
+
+TEST(PbftCore, IdleFollowerStartsNoViewChange) {
+  auto cfg = small_config();
+  cfg.view_change_timeout_us = 1'000'000;
+  PillarGroupHarness h({cfg});
+  h.client_request(1001, 1, payload(1));
+  h.run_until_quiescent();
+  ASSERT_EQ(h.delivered(3).size(), 1u);
+
+  h.advance_time(10 * cfg.view_change_timeout_us);
+  h.tick_all();
+  for (ReplicaId r = 0; r < 4; ++r)
+    EXPECT_EQ(h.core(r).stats().view_changes_started, 0u) << "replica " << r;
+}
+
 // ---- rotation (paper §4.3.2) ---------------------------------------------
 
 TEST(PbftCore, RotatingLeadersAllPropose) {
@@ -379,12 +513,13 @@ TEST(PbftCore, RotationTotalOrderConsistent) {
 TEST(CoreStatsSum, AddingToItselfDoublesEveryField) {
   // Replicas and the simulator sum per-pillar stats; a field left out of
   // operator+= reads 0 in every summed view.
-  std::array<std::uint64_t, sizeof(CoreStats) / sizeof(std::uint64_t)> fields;
+  using Fields =
+      std::array<std::uint64_t, sizeof(CoreStats) / sizeof(std::uint64_t)>;
+  Fields fields;
   for (std::size_t i = 0; i < fields.size(); ++i) fields[i] = 100 + i;
-  CoreStats stats;
-  std::memcpy(&stats, fields.data(), sizeof stats);
+  CoreStats stats = std::bit_cast<CoreStats>(fields);
   stats += stats;
-  std::memcpy(fields.data(), &stats, sizeof stats);
+  fields = std::bit_cast<Fields>(stats);
   for (std::size_t i = 0; i < fields.size(); ++i)
     EXPECT_EQ(fields[i], 2 * (100 + i)) << "field " << i;
 }

@@ -99,8 +99,9 @@ TEST_P(ProtocolSweep, AllRequestsDeliveredOnceGapFree) {
         keys.push_back(req.key());
       }
       auto [it, inserted] = by_seq.try_emplace(b.seq, keys);
-      if (!inserted)
+      if (!inserted) {
         EXPECT_EQ(it->second, keys) << "disagreement at seq " << b.seq;
+      }
     }
     for (const auto& [key, count] : seen)
       EXPECT_EQ(count, 1) << "request ordered twice at replica " << r;

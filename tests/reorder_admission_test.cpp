@@ -74,7 +74,8 @@ CommittedBatch make_batch(std::uint64_t content_seed, SeqNum seq) {
   }
   const SeqNum window = 40;
   const SeqNum basis = seq > window ? seq - window : 0;
-  return CommittedBatch{seq, 0, std::move(requests), seq % kPillars, basis};
+  return CommittedBatch{seq, 0, std::move(requests),
+                        static_cast<std::uint32_t>(seq % kPillars), basis};
 }
 
 class AdmissionRun {

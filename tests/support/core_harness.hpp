@@ -34,7 +34,7 @@ class PillarGroupHarness {
     bool shuffle = false;      ///< random interleaving of in-flight messages
     double duplicate_p = 0.0;  ///< probability of duplicating a message
     /// drop filter: return true to drop (from, to, msg)
-    std::function<bool(ReplicaId, ReplicaId, const Message&)> drop;
+    std::function<bool(ReplicaId, ReplicaId, const Message&)> drop = nullptr;
     /// act as execution stage: trigger checkpoints at interval boundaries
     bool auto_checkpoint = true;
   };
