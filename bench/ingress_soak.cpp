@@ -23,8 +23,9 @@
 // connections (2500 per replica accepted, 10,000 dialed in the parent),
 // inside the 20,000-fd rlimit on each side.
 //
-// Emits BENCH_ingress.json (validated with the shared JsonCheck before
-// writing). Environment knobs, reduced in CI's bench-smoke job:
+// Emits BENCH_ingress.json and exits non-zero unless it passes the gates
+// of support/bench_gates.hpp (the ones bench/validate_bench_json applies).
+// Environment knobs, reduced in CI's bench-smoke job:
 //   COP_SOAK_CLIENTS      fleet size of many_clients (default 2500)
 //   COP_SOAK_MEASURE_MS   measurement window per cell (default 5000)
 //   COP_SOAK_WARMUP_MS    warm-up before measuring   (default 1500)
@@ -57,7 +58,7 @@
 #include "protocol/messages.hpp"
 #include "protocol/types.hpp"
 #include "protocol/wire.hpp"
-#include "support/json_check.hpp"
+#include "support/bench_gates.hpp"
 #include "transport/tcp.hpp"
 
 using namespace copbft;
@@ -129,7 +130,6 @@ struct Cell {
   /// ones), not the ingress. The overload cell stays uncapped: it exists
   /// to exceed capacity.
   std::uint64_t rate_ops;
-  bool expect_sheds;
 };
 
 struct ChildStats {
@@ -639,16 +639,13 @@ int main() {
   const Cell cells[] = {
       {"few_clients", 4, inflight / 4, /*queue_capacity=*/1u << 15,
        /*retry_budget=*/1u << 15, /*retry_deadline_us=*/100'000,
-       /*spin_us=*/0, /*resend_us=*/600'000'000, rate_ops,
-       /*expect_sheds=*/false},
+       /*spin_us=*/0, /*resend_us=*/600'000'000, rate_ops},
       {"many_clients", many, 4, /*queue_capacity=*/1u << 15,
        /*retry_budget=*/1u << 15, /*retry_deadline_us=*/100'000,
-       /*spin_us=*/0, /*resend_us=*/600'000'000, rate_ops,
-       /*expect_sheds=*/false},
+       /*spin_us=*/0, /*resend_us=*/600'000'000, rate_ops},
       {"overload", overload_clients, 16, /*queue_capacity=*/64,
        /*retry_budget=*/64, /*retry_deadline_us=*/2'000,
-       /*spin_us=*/300, /*resend_us=*/500'000, /*rate_ops=*/0,
-       /*expect_sheds=*/true},
+       /*spin_us=*/300, /*resend_us=*/500'000, /*rate_ops=*/0},
   };
 
   std::vector<CellResult> results;
@@ -658,38 +655,17 @@ int main() {
     port = static_cast<std::uint16_t>(port + 8);
   }
 
-  int failures = 0;
-  for (const CellResult& r : results) {
-    if (r.completed == 0) {
-      std::fprintf(stderr, "FAIL %s: no requests completed\n", r.cell.name);
-      ++failures;
-    }
-    if (r.cell.expect_sheds && r.child.ingress_shed == 0) {
-      std::fprintf(stderr, "FAIL %s: expected ingress sheds, saw none\n",
-                   r.cell.name);
-      ++failures;
-    }
-    if (!r.cell.expect_sheds && r.child.ingress_shed != 0) {
-      std::fprintf(stderr,
-                   "FAIL %s: nominal cell shed %" PRIu64 " frames\n",
-                   r.cell.name, r.child.ingress_shed);
-      ++failures;
-    }
-    if (r.child.blocked_delta != 0) {
-      std::fprintf(stderr,
-                   "FAIL %s: pillar queues saw %" PRIu64 " blocking pushes\n",
-                   r.cell.name, r.child.blocked_delta);
-      ++failures;
-    }
-  }
-
-  const std::string json =
+  const std::string text =
       to_json(results, soak_clients, warmup_ms, measure_ms);
-  if (!bench::JsonCheck(json).valid()) {
+  const std::optional<json::Value> doc = json::parse(text);
+  if (!doc) {
     std::fprintf(stderr, "FAIL: emitted JSON is invalid\n");
     return 1;
   }
-  std::ofstream("BENCH_ingress.json") << json;
+  std::ofstream("BENCH_ingress.json") << text;
   std::printf("wrote BENCH_ingress.json\n");
-  return failures == 0 ? 0 : 1;
+  const std::vector<std::string> failures = bench::check_gates(*doc);
+  for (const std::string& failure : failures)
+    std::fprintf(stderr, "FAIL %s\n", failure.c_str());
+  return failures.empty() ? 0 : 1;
 }

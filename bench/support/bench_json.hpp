@@ -1,18 +1,17 @@
 // Machine-readable benchmark output: each figure bench emits, next to its
 // human-readable table, a BENCH_<figure>.json document with one record per
 // (system, cores/clients/payload) cell — headline throughput/latency plus
-// the per-stage queue and load series from the simulated leader. CI's
-// bench-smoke job parses these files; plotting scripts consume them.
-//
-// Hand-rolled serialization (no external JSON dependency); keys are
-// emitted in a fixed order so diffs between runs stay readable.
+// the per-stage queue and load series from the simulated leader.
+// bench/validate_bench_json gates these files; plotting scripts consume
+// them. Keys are emitted in a fixed order so diffs between runs stay
+// readable; every scalar is formatted by common/json.hpp.
 #pragma once
 
-#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/simulation.hpp"
 
 namespace copbft::bench {
@@ -29,44 +28,27 @@ class BenchJsonWriter {
   void add(const char* system, std::uint32_t cores, std::uint32_t clients,
            std::size_t payload, const sim::SimResult& r) {
     std::string e = "    {";
-    field(e, "system", system);
-    e += ',';
-    field(e, "cores", static_cast<std::uint64_t>(cores));
-    e += ',';
-    field(e, "clients", static_cast<std::uint64_t>(clients));
-    e += ',';
-    field(e, "payload_b", static_cast<std::uint64_t>(payload));
-    e += ',';
-    field(e, "throughput_ops", r.throughput_ops);
-    e += ',';
-    field(e, "completed_ops", r.completed_ops);
-    e += ',';
-    field(e, "latency_mean_us", r.latency_mean_us);
-    e += ',';
-    field(e, "latency_p50_us", r.latency_p50_us);
-    e += ',';
-    field(e, "latency_p99_us", r.latency_p99_us);
-    e += ',';
-    field(e, "leader_tx_mbps", r.leader_tx_mbps);
-    e += ',';
-    field(e, "leader_cpu", r.leader_cpu_utilization);
-    e += ',';
-    field(e, "follower_cpu", r.follower_cpu_utilization);
-    e += ',';
-    field(e, "instances", r.instances);
-    e += ',';
-    field(e, "reorder_peak", r.leader_reorder_peak);
+    json::field(e, "system", system);
+    json::field(e, "cores", cores);
+    json::field(e, "clients", clients);
+    json::field(e, "payload_b", payload);
+    json::field(e, "throughput_ops", r.throughput_ops);
+    json::field(e, "completed_ops", r.completed_ops);
+    json::field(e, "latency_mean_us", r.latency_mean_us);
+    json::field(e, "latency_p50_us", r.latency_p50_us);
+    json::field(e, "latency_p99_us", r.latency_p99_us);
+    json::field(e, "leader_tx_mbps", r.leader_tx_mbps);
+    json::field(e, "leader_cpu", r.leader_cpu_utilization);
+    json::field(e, "follower_cpu", r.follower_cpu_utilization);
+    json::field(e, "instances", r.instances);
+    json::field(e, "reorder_peak", r.leader_reorder_peak);
     e += ",\"stages\":[";
-    bool first = true;
     for (const auto& stage : r.leader_stages) {
-      if (!first) e += ',';
-      first = false;
+      json::separate(e);
       e += '{';
-      field(e, "name", stage.name.c_str());
-      e += ',';
-      field(e, "busy", stage.busy_fraction);
-      e += ',';
-      field(e, "backlog", stage.backlog);
+      json::field(e, "name", stage.name);
+      json::field(e, "busy", stage.busy_fraction);
+      json::field(e, "backlog", stage.backlog);
       e += '}';
     }
     e += "]}";
@@ -75,13 +57,12 @@ class BenchJsonWriter {
 
   /// Writes the accumulated document; returns false on I/O failure.
   bool write(const std::string& path) const {
-    std::string out = "{\n";
-    out += "  \"figure\":";
-    append_escaped(out, figure_);
-    out += ",\n  \"batching\":";
-    out += batching_ ? "true" : "false";
-    out += ",\n  \"measure_ns\":";
-    append_number(out, measure_ns_);
+    std::string out = "{\n  ";
+    json::field(out, "figure", figure_);
+    out += ",\n  ";
+    json::field(out, "batching", batching_);
+    out += ",\n  ";
+    json::field(out, "measure_ns", measure_ns_);
     out += ",\n  \"results\":[\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       out += entries_[i];
@@ -97,51 +78,6 @@ class BenchJsonWriter {
   }
 
  private:
-  static void append_escaped(std::string& out, const std::string& s) {
-    out += '"';
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    out += '"';
-  }
-  static void append_number(std::string& out, std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    out += buf;
-  }
-  static void append_number(std::string& out, double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    // %g can produce "inf"/"nan" which are not JSON; clamp to null.
-    if (buf[0] == 'i' || buf[0] == 'n' || buf[1] == 'i') {
-      out += "null";
-      return;
-    }
-    out += buf;
-  }
-  static void field(std::string& out, const char* key, const char* value) {
-    append_escaped(out, key);
-    out += ':';
-    append_escaped(out, value);
-  }
-  static void field(std::string& out, const char* key, std::uint64_t value) {
-    append_escaped(out, key);
-    out += ':';
-    append_number(out, value);
-  }
-  static void field(std::string& out, const char* key, double value) {
-    append_escaped(out, key);
-    out += ':';
-    append_number(out, value);
-  }
-
   const std::string figure_;
   const bool batching_;
   const std::uint64_t measure_ns_;

@@ -1,16 +1,16 @@
-// CLI wrapper around the shared bench-JSON mini-validator: checks that
-// every file given on the command line parses as structurally valid JSON
-// (RFC 8259 subset — the same JsonCheck tests/metrics_test.cpp uses).
-// CI's bench-smoke and scenario-smoke jobs run it over the emitted
-// BENCH_*.json artifacts instead of carrying their own inline validators.
+// Checks BENCH_*.json artifacts: every file must parse as JSON (the reader
+// in common/json.hpp) and pass each gate in support/bench_gates.hpp that
+// applies to what it records. CI runs it over the artifacts its jobs
+// generate and over the committed ones; tier-1 runs it over the committed
+// ones (ctest bench_artifacts).
 //
-// Usage: validate_bench_json FILE... ; exit 0 iff all files are valid.
+// Usage: validate_bench_json FILE... ; exit 0 iff every file passes.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "support/json_check.hpp"
+#include "support/bench_gates.hpp"
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -27,9 +27,19 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string content = buf.str();
-    if (content.empty() || !copbft::bench::JsonCheck(content).valid()) {
+    const std::string content = buf.str();
+    const std::optional<copbft::json::Value> doc =
+        copbft::json::parse(content);
+    if (!doc) {
       std::fprintf(stderr, "%s: INVALID JSON\n", argv[i]);
+      ++bad;
+      continue;
+    }
+    const std::vector<std::string> failures =
+        copbft::bench::check_gates(*doc);
+    for (const std::string& failure : failures)
+      std::fprintf(stderr, "%s: FAILED %s\n", argv[i], failure.c_str());
+    if (!failures.empty()) {
       ++bad;
       continue;
     }

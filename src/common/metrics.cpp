@@ -1,9 +1,9 @@
 #include "common/metrics.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.hpp"
 #include "common/time.hpp"
 
 namespace copbft::metrics {
@@ -67,97 +67,31 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string MetricsRegistry::snapshot_json() const {
   MutexLock lock(mutex_);
   std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    append_escaped(out, name);
-    out += ':';
-    append_u64(out, c->value());
-  }
+  for (const auto& [name, c] : counters_) json::field(out, name, c->value());
   out += "},\"gauges\":{";
-  first = true;
   for (const auto& [name, g] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    append_escaped(out, name);
-    out += ":{\"value\":";
-    append_i64(out, g->value());
-    out += ",\"max\":";
-    append_i64(out, g->max());
+    json::append(out, name);
+    out += ":{";
+    json::field(out, "value", g->value());
+    json::field(out, "max", g->max());
     out += '}';
   }
   out += "},\"histograms\":{";
-  first = true;
   for (const auto& [name, hm] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    Histogram h = hm->snapshot();
-    append_escaped(out, name);
-    out += ":{\"count\":";
-    append_u64(out, h.count());
-    out += ",\"mean\":";
-    append_double(out, h.mean());
-    out += ",\"min\":";
-    append_u64(out, h.min());
-    out += ",\"max\":";
-    append_u64(out, h.max());
-    out += ",\"p50\":";
-    append_u64(out, h.percentile(0.5));
-    out += ",\"p90\":";
-    append_u64(out, h.percentile(0.9));
-    out += ",\"p99\":";
-    append_u64(out, h.percentile(0.99));
-    out += ",\"p999\":";
-    append_u64(out, h.percentile(0.999));
+    const Histogram h = hm->snapshot();
+    json::append(out, name);
+    out += ":{";
+    json::field(out, "count", h.count());
+    json::field(out, "mean", h.mean());
+    json::field(out, "min", h.min());
+    json::field(out, "max", h.max());
+    json::field(out, "p50", h.percentile(0.5));
+    json::field(out, "p90", h.percentile(0.9));
+    json::field(out, "p99", h.percentile(0.99));
+    json::field(out, "p999", h.percentile(0.999));
     out += '}';
   }
   out += "}}";

@@ -30,25 +30,12 @@ SmartReplica::SmartReplica(ReplicaId self, ReplicaRuntimeConfig config,
   exec_.set_command_fn([this](std::uint32_t, PillarCommand command) {
     logic_->post_command(std::move(command));
   });
-  verify_pool_ = std::make_shared<VerifyPool>(*this, kAuthThreads,
-                                              config_.queue_capacity);
-  transport.register_sink(0, verify_pool_);
+  verify_inbox_ = std::make_shared<transport::Inbox>(config_.queue_capacity);
+  transport.register_sink(0, verify_inbox_);
 }
 
-void SmartReplica::VerifyPool::start() {
-  threads_.reserve(threads_count_);
-  for (std::uint32_t i = 0; i < threads_count_; ++i)
-    threads_.emplace_back(
-        named_thread("verify-" + std::to_string(i), [this] { run(); }));
-}
-
-void SmartReplica::VerifyPool::stop() {
-  queue_.close();
-  threads_.clear();  // join
-}
-
-void SmartReplica::VerifyPool::run() {
-  while (auto frame = queue_.pop()) {
+void SmartReplica::run_verifier() {
+  while (auto frame = verify_inbox_->queue().pop()) {
     auto decoded = protocol::decode_message(frame->bytes);
     if (!decoded) continue;
 
@@ -60,43 +47,45 @@ void SmartReplica::VerifyPool::run() {
     // Out-of-order verification: authenticate everything now, whether the
     // protocol will need it or not (paper §3.2).
     bool ok;
-    owner_.pool_verifications_.fetch_add(1, std::memory_order_relaxed);
+    pool_verifications_.fetch_add(1, std::memory_order_relaxed);
     if (auto* req = std::get_if<protocol::Request>(&im.msg)) {
-      ok = owner_.pool_verifier_.verify_request(*req);
+      ok = pool_verifier_.verify_request(*req);
     } else {
       crypto::KeyNodeId sender = protocol::sender_node(im.msg);
       if (sender == protocol::kUnknownNode) {
         const auto& pp = std::get<protocol::PrePrepare>(im.msg);
         sender = protocol::replica_node(
-            owner_.config_.protocol.leader_for(pp.view, pp.seq));
+            config_.protocol.leader_for(pp.view, pp.seq));
       }
-      ok = owner_.pool_verifier_.verify(im, sender);
+      ok = pool_verifier_.verify(im, sender);
       if (ok) {
         if (const auto* pp = std::get_if<protocol::PrePrepare>(&im.msg)) {
           for (const protocol::Request& req : pp->requests) {
-            owner_.pool_verifications_.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            if (!(ok = owner_.pool_verifier_.verify_request(req))) break;
+            pool_verifications_.fetch_add(1, std::memory_order_relaxed);
+            if (!(ok = pool_verifier_.verify_request(req))) break;
           }
         }
       }
     }
     if (!ok) continue;
     im.pre_verified = true;
-    owner_.logic_->post(PillarEvent{PreparedInput{std::move(im)}});
+    logic_->post(PillarEvent{PreparedInput{std::move(im)}});
   }
 }
 
 void SmartReplica::start() {
   exec_.start();
   logic_->start();
-  verify_pool_->start();
+  for (std::uint32_t i = 0; i < kAuthThreads; ++i)
+    verifiers_.push_back(named_thread("verify-" + std::to_string(i),
+                                      [this] { run_verifier(); }));
 }
 
 void SmartReplica::stop() {
   if (stopped_) return;
   stopped_ = true;
-  verify_pool_->stop();
+  verify_inbox_->close();
+  verifiers_.clear();  // join
   logic_->stop();
   auth_pool_.stop();
   exec_.stop();

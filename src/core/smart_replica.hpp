@@ -39,30 +39,9 @@ class SmartReplica final : public Replica {
   }
 
  private:
-  /// Out-of-order verification pool: every frame is decoded and fully
-  /// authenticated here, needed or not.
-  class VerifyPool final : public transport::FrameSink {
-   public:
-    VerifyPool(SmartReplica& owner, std::uint32_t threads,
-               std::size_t capacity)
-        : owner_(owner), threads_count_(threads), queue_(capacity) {}
-
-    bool deliver(transport::ReceivedFrame frame) override {
-      return queue_.push(std::move(frame));
-    }
-    void close() override { queue_.close(); }
-
-    void start();
-    void stop();
-
-   private:
-    void run();
-
-    SmartReplica& owner_;
-    std::uint32_t threads_count_;
-    BoundedQueue<transport::ReceivedFrame> queue_;
-    std::vector<std::jthread> threads_;
-  };
+  /// Out-of-order verification pool: each of kAuthThreads workers decodes
+  /// and fully authenticates frames, needed or not.
+  void run_verifier();
 
   const ReplicaId self_;
   const ReplicaRuntimeConfig config_;
@@ -71,9 +50,13 @@ class SmartReplica final : public Replica {
   AuthPoolOutbound auth_pool_;
   ExecutionStage exec_;
   std::shared_ptr<Pillar> logic_;
-  std::shared_ptr<VerifyPool> verify_pool_;
+  /// The verification pool's input, registered as the lane-0 sink.
+  /// Admission never blocks: a full pool answers kBusy, so it cannot park
+  /// an event-loop lane.
+  std::shared_ptr<transport::Inbox> verify_inbox_;
   std::atomic<std::uint64_t> pool_verifications_{0};
   bool stopped_ = false;
+  std::vector<std::jthread> verifiers_;
 };
 
 }  // namespace copbft::core

@@ -8,10 +8,6 @@
 namespace copbft::core {
 namespace {
 
-/// Checkpoints kept for serving; older ones are useless to any peer that
-/// could still catch up by retransmission.
-constexpr std::size_t kHeldCheckpoints = 4;
-
 std::string st_metric(ReplicaId self, const char* name) {
   return "replica" + std::to_string(self) + ".state_transfer." + name;
 }
@@ -66,15 +62,15 @@ void StateTransferManager::handle(Event event) {
   if (auto* frame = std::get_if<transport::ReceivedFrame>(&event)) {
     handle_frame(std::move(*frame));
   } else if (auto* store = std::get_if<StoreCheckpoint>(&event)) {
-    Held& held = held_[store->seq];
-    held.digest = store->digest;
-    held.artifact = std::move(store->artifact);
-    while (held_.size() > kHeldCheckpoints) held_.erase(held_.begin());
+    // Below the newest stability an artifact can never be served.
+    if (store->seq >= stable_.seq)
+      held_[store->seq] = Held{store->digest, std::move(store->artifact)};
   } else if (auto* stable = std::get_if<MarkStable>(&event)) {
-    auto it = held_.find(stable->seq);
-    if (it != held_.end() && it->second.digest == stable->digest) {
-      it->second.stable = true;
-      it->second.voters = std::move(stable->voters);
+    // Stability may arrive before its artifact (a snapshot that finishes
+    // after the peers' votes); the artifact is served when it arrives.
+    if (stable->seq > stable_.seq) {
+      stable_ = std::move(*stable);
+      held_.erase(held_.begin(), held_.lower_bound(stable_.seq));
     }
   } else if (auto* ahead = std::get_if<PeerAhead>(&event)) {
     target_hint_ = std::max(target_hint_, ahead->observed);
@@ -82,6 +78,8 @@ void StateTransferManager::handle(Event event) {
   } else {
     finish_install(std::get<InstallDone>(event));
   }
+  MutexLock lock(stats_mutex_);
+  stats_.held_checkpoints = held_.size();
 }
 
 void StateTransferManager::handle_frame(transport::ReceivedFrame frame) {
@@ -116,43 +114,42 @@ void StateTransferManager::handle_frame(transport::ReceivedFrame frame) {
 
 void StateTransferManager::handle_request(
     const protocol::StateRequest& request) {
-  // Serve the newest stable checkpoint that is actually useful to the
-  // requester (at or above its execution frontier); anything older would
-  // install as a no-op and leave it stranded.
-  for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-    if (!it->second.stable || it->first < request.min_seq) continue;
-    const Held& held = it->second;
-    const std::size_t chunk_bytes =
-        std::max<std::size_t>(config_.state_chunk_bytes, 1);
-    const std::uint32_t chunk_count = static_cast<std::uint32_t>(
-        std::max<std::size_t>(
-            (held.artifact.size() + chunk_bytes - 1) / chunk_bytes, 1));
-    const crypto::KeyNodeId to = protocol::replica_node(request.replica);
-    for (std::uint32_t c = 0; c < chunk_count; ++c) {
-      const std::size_t begin = c * chunk_bytes;
-      const std::size_t end =
-          std::min(held.artifact.size(), begin + chunk_bytes);
-      protocol::StateReply reply;
-      reply.seq = it->first;
-      reply.digest = held.digest;
-      reply.certificate = held.voters;
-      reply.chunk = c;
-      reply.chunk_count = chunk_count;
-      reply.data.assign(held.artifact.begin() + static_cast<std::ptrdiff_t>(begin),
-                        held.artifact.begin() + static_cast<std::ptrdiff_t>(end));
-      reply.replica = self_;
-      protocol::Message msg = std::move(reply);
-      Bytes frame =
-          seal_message(msg, crypto_, protocol::replica_node(self_), {to});
-      transport_.send(to, lane(), std::move(frame));
-    }
-    m_served_.add();
-    MutexLock lock(stats_mutex_);
-    ++stats_.snapshots_served;
-    return;
-  }
-  // Nothing stable at or above min_seq yet: stay silent, the requester's
+  // Serve the newest stable checkpoint if it is useful to the requester (at
+  // or above its execution frontier; anything older would install as a
+  // no-op and leave it stranded) and this replica holds an artifact that
+  // matches the agreed digest. Otherwise stay silent: the requester's
   // timeout re-asks once the next checkpoint stabilizes.
+  const auto it = held_.find(stable_.seq);
+  if (stable_.seq < request.min_seq || it == held_.end() ||
+      it->second.digest != stable_.digest)
+    return;
+  const Bytes& artifact = it->second.artifact;
+  const std::size_t chunk_bytes =
+      std::max<std::size_t>(config_.state_chunk_bytes, 1);
+  const std::uint32_t chunk_count = static_cast<std::uint32_t>(
+      std::max<std::size_t>((artifact.size() + chunk_bytes - 1) / chunk_bytes,
+                            1));
+  const crypto::KeyNodeId to = protocol::replica_node(request.replica);
+  for (std::uint32_t c = 0; c < chunk_count; ++c) {
+    const std::size_t begin = c * chunk_bytes;
+    const std::size_t end = std::min(artifact.size(), begin + chunk_bytes);
+    protocol::StateReply reply;
+    reply.seq = stable_.seq;
+    reply.digest = stable_.digest;
+    reply.certificate = stable_.voters;
+    reply.chunk = c;
+    reply.chunk_count = chunk_count;
+    reply.data.assign(artifact.begin() + static_cast<std::ptrdiff_t>(begin),
+                      artifact.begin() + static_cast<std::ptrdiff_t>(end));
+    reply.replica = self_;
+    protocol::Message msg = std::move(reply);
+    Bytes frame =
+        seal_message(msg, crypto_, protocol::replica_node(self_), {to});
+    transport_.send(to, lane(), std::move(frame));
+  }
+  m_served_.add();
+  MutexLock lock(stats_mutex_);
+  ++stats_.snapshots_served;
 }
 
 void StateTransferManager::handle_reply(protocol::StateReply reply) {

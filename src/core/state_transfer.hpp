@@ -5,10 +5,12 @@
 // the certificates it needs are garbage-collected cluster-wide (§3.3 log
 // truncation). This manager implements the recovery path:
 //
-//   server side — keeps the last few encoded CheckpointArtifacts the
-//   execution stage produced, marks them stable when a pillar's checkpoint
-//   agreement completes, and serves them to peers in chunked StateReply
-//   frames on its own transport lane (lane NP, below the pillar lanes).
+//   server side — remembers the newest checkpoint a pillar's agreement
+//   made stable, holds the encoded CheckpointArtifacts the execution stage
+//   produced at or above it, and serves the stable one to peers in chunked
+//   StateReply frames on its own transport lane (lane NP, below the pillar
+//   lanes). Execution runs at most `window` past stability, so at most
+//   window / checkpoint_interval + 1 artifacts are held.
 //
 //   client side — when a pillar reports StateTransferNeeded, broadcasts a
 //   StateRequest to every peer, reassembles per-peer replies, and installs
@@ -49,6 +51,8 @@ struct StateTransferStats {
   /// Install attempts rejected (bad artifact / digest mismatch).
   std::uint64_t snapshots_rejected = 0;
   protocol::SeqNum installed_seq = 0;
+  /// Checkpoint artifacts held for serving peers.
+  std::uint64_t held_checkpoints = 0;
 };
 
 class StateTransferManager final : public transport::FrameSink {
@@ -135,8 +139,6 @@ class StateTransferManager final : public transport::FrameSink {
   struct Held {
     crypto::Digest digest;
     Bytes artifact;
-    bool stable = false;
-    std::vector<protocol::ReplicaId> voters;
   };
 
   /// Per-peer reassembly of one checkpoint transfer.
@@ -174,6 +176,10 @@ class StateTransferManager final : public transport::FrameSink {
   protocol::CryptoVerifier verifier_;
 
   // Everything below is owned by the manager thread.
+  /// The newest stability heard of, and the artifacts at or above it: the
+  /// one at stable_.seq is served once it arrives, higher ones wait to
+  /// turn stable.
+  MarkStable stable_;
   std::map<protocol::SeqNum, Held> held_;
   bool catching_up_ = false;
   bool install_pending_ = false;

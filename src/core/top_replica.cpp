@@ -27,25 +27,16 @@ TopReplica::TopReplica(ReplicaId self, ReplicaRuntimeConfig config,
   exec_.set_command_fn([this](std::uint32_t, PillarCommand command) {
     logic_->post_command(std::move(command));
   });
-  ingress_ = std::make_shared<IngressStage>(*this, config_.queue_capacity);
+  ingress_ = std::make_shared<transport::Inbox>(config_.queue_capacity);
   transport.register_sink(0, ingress_);
 }
 
-void TopReplica::IngressStage::start() {
-  thread_ = named_thread("ingress", [this] { run(); });
-}
-
-void TopReplica::IngressStage::stop() {
-  queue_.close();
-  if (thread_.joinable()) thread_.join();
-}
-
-void TopReplica::IngressStage::run() {
-  while (auto frame = queue_.pop()) {
+void TopReplica::run_ingress() {
+  while (auto frame = ingress_->queue().pop()) {
     auto decoded = protocol::decode_message(frame->bytes);
     if (!decoded) {
       COP_LOG_WARN("replica %u ingress: malformed frame from node %u",
-                   owner_.self_, frame->from);
+                   self_, frame->from);
       continue;
     }
     protocol::IncomingMessage im;
@@ -53,27 +44,28 @@ void TopReplica::IngressStage::run() {
     if (auto* req = std::get_if<protocol::Request>(&decoded->msg)) {
       // Client management: authenticate requests here, in the pipeline
       // stage, so the logic thread only sees valid ones.
-      if (!owner_.ingress_verifier_.verify_request(*req)) continue;
+      if (!ingress_verifier_.verify_request(*req)) continue;
       im.pre_verified = true;
       im.msg = std::move(decoded->msg);
     } else {
       im.msg = std::move(decoded->msg);
       im.raw = std::move(frame->bytes);
     }
-    owner_.logic_->post(PillarEvent{PreparedInput{std::move(im)}});
+    logic_->post(PillarEvent{PreparedInput{std::move(im)}});
   }
 }
 
 void TopReplica::start() {
   exec_.start();
   logic_->start();
-  ingress_->start();
+  ingress_thread_ = named_thread("ingress", [this] { run_ingress(); });
 }
 
 void TopReplica::stop() {
   if (stopped_) return;
   stopped_ = true;
-  ingress_->stop();
+  ingress_->close();
+  if (ingress_thread_.joinable()) ingress_thread_.join();
   logic_->stop();
   outbound_.stop();
   exec_.stop();

@@ -35,26 +35,7 @@ class TopReplica final : public Replica {
   /// request MACs before the logic thread sees them. Protocol messages
   /// pass through un-verified (in-order verification happens in the
   /// logic, §3.2).
-  class IngressStage final : public transport::FrameSink {
-   public:
-    IngressStage(TopReplica& owner, std::size_t capacity)
-        : owner_(owner), queue_(capacity) {}
-
-    bool deliver(transport::ReceivedFrame frame) override {
-      return queue_.push(std::move(frame));
-    }
-    void close() override { queue_.close(); }
-
-    void start();
-    void stop();
-
-   private:
-    void run();
-
-    TopReplica& owner_;
-    BoundedQueue<transport::ReceivedFrame> queue_;
-    std::jthread thread_;
-  };
+  void run_ingress();
 
   const ReplicaId self_;
   const ReplicaRuntimeConfig config_;
@@ -63,8 +44,12 @@ class TopReplica final : public Replica {
   AuthPoolOutbound outbound_;
   ExecutionStage exec_;
   std::shared_ptr<Pillar> logic_;
-  std::shared_ptr<IngressStage> ingress_;
+  /// The ingress stage's input, registered as the lane-0 sink. Admission
+  /// never blocks: a full stage answers kBusy, so it cannot park an
+  /// event-loop lane.
+  std::shared_ptr<transport::Inbox> ingress_;
   bool stopped_ = false;
+  std::jthread ingress_thread_;
 };
 
 }  // namespace copbft::core

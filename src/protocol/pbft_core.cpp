@@ -675,14 +675,13 @@ void PbftCore::evaluate_checkpoint(SeqNum seq, CheckpointState& state) {
       for (const auto& [replica, d] : state.votes)
         if (d == digest) voters.push_back(replica);
       emit(CheckpointStable{seq, digest, std::move(voters)});
-      make_stable(seq, digest, false);
+      make_stable(seq, digest);
       return;
     }
   }
 }
 
-void PbftCore::make_stable(SeqNum seq, const crypto::Digest& digest,
-                           bool /*emit_effect*/) {
+void PbftCore::make_stable(SeqNum seq, const crypto::Digest& digest) {
   if (seq <= stable_seq_) return;
   stable_seq_ = seq;
   stable_digest_ = digest;
@@ -727,7 +726,7 @@ void PbftCore::note_checkpoint_stable(SeqNum seq,
                 "checkpoint interval %llu",
                 static_cast<unsigned long long>(seq),
                 static_cast<unsigned long long>(config_.checkpoint_interval));
-  make_stable(seq, digest, false);
+  make_stable(seq, digest);
 }
 
 // --------------------------------------------------------------------------

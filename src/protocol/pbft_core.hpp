@@ -244,7 +244,7 @@ class PbftCore {
 
   // checkpoints
   void evaluate_checkpoint(SeqNum seq, CheckpointState& state);
-  void make_stable(SeqNum seq, const crypto::Digest& digest, bool emit);
+  void make_stable(SeqNum seq, const crypto::Digest& digest);
 
   // view change
   void initiate_view_change(ViewId target);

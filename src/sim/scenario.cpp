@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cinttypes>
-#include <cstdio>
 #include <set>
 
 #include "common/invariant.hpp"
+#include "common/json.hpp"
 
 namespace copbft::sim {
 namespace {
@@ -19,60 +18,6 @@ std::atomic<std::uint64_t> g_invariant_firings{0};
 
 void count_invariant(const InvariantViolation&) {
   g_invariant_firings.fetch_add(1, std::memory_order_relaxed);
-}
-
-// ---- deterministic JSON helpers (same conventions as BenchJsonWriter) ---
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  if (buf[0] == 'i' || buf[0] == 'n' || buf[1] == 'i') {  // inf/nan
-    out += "null";
-    return;
-  }
-  out += buf;
-}
-
-void field(std::string& out, const char* key, const std::string& value) {
-  append_escaped(out, key);
-  out += ':';
-  append_escaped(out, value);
-}
-void field(std::string& out, const char* key, std::uint64_t value) {
-  append_escaped(out, key);
-  out += ':';
-  append_number(out, value);
-}
-void field(std::string& out, const char* key, double value) {
-  append_escaped(out, key);
-  out += ':';
-  append_number(out, value);
-}
-void field(std::string& out, const char* key, bool value) {
-  append_escaped(out, key);
-  out += ':';
-  out += value ? "true" : "false";
 }
 
 }  // namespace
@@ -141,92 +86,51 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 std::string scenario_json(const ScenarioSpec& spec, const ScenarioResult& r) {
   const SimConfig& cfg = spec.config;
   std::string out = "{\n  ";
-  field(out, "schema", std::string("copbft-scenario-v1"));
+  json::field(out, "schema", "copbft-scenario-v1");
   out += ",\n  ";
-  field(out, "name", spec.name);
+  json::field(out, "name", spec.name);
   out += ",\n  ";
-  field(out, "description", spec.description);
+  json::field(out, "description", spec.description);
   out += ",\n  \"axes\":[";
-  for (std::size_t i = 0; i < spec.axes.size(); ++i) {
-    if (i) out += ',';
-    append_escaped(out, spec.axes[i]);
-  }
+  for (const std::string& axis : spec.axes) json::append(out, axis);
   out += "],\n  \"config\":{";
-  field(out, "arch", std::string(arch_name(cfg.arch)));
-  out += ',';
-  field(out, "seed", cfg.seed);
-  out += ',';
-  field(out, "cores", static_cast<std::uint64_t>(cfg.cores));
-  out += ',';
-  field(out, "pillars", static_cast<std::uint64_t>(cfg.pillars()));
-  out += ',';
-  field(out, "clients", static_cast<std::uint64_t>(cfg.clients));
-  out += ',';
-  field(out, "client_window", static_cast<std::uint64_t>(cfg.client_window));
-  out += ',';
-  field(out, "checkpoint_interval", cfg.protocol.checkpoint_interval);
-  out += ',';
-  field(out, "window", cfg.protocol.window);
-  out += ',';
-  field(out, "warmup_ns", static_cast<std::uint64_t>(cfg.warmup));
-  out += ',';
-  field(out, "measure_ns", static_cast<std::uint64_t>(cfg.measure));
-  out += ',';
-  field(out, "fault_events",
-        static_cast<std::uint64_t>(cfg.faults.size()));
-  out += ',';
-  field(out, "lane_stalls", static_cast<std::uint64_t>(cfg.lane_stalls.size()));
-  out += ',';
-  field(out, "wan", cfg.wan.enabled);
-  out += ',';
-  field(out, "partitions",
-        static_cast<std::uint64_t>(cfg.wan.partitions.size()));
-  out += ',';
-  field(out, "adversary_replica",
-        static_cast<std::uint64_t>(cfg.protocol.adversary.replica));
-  out += ',';
-  field(out, "adversary_equivocate", cfg.protocol.adversary.equivocate);
-  out += ',';
-  field(out, "adversary_omit_targets",
-        static_cast<std::uint64_t>(cfg.protocol.adversary.omit_votes_to.size()));
+  json::field(out, "arch", arch_name(cfg.arch));
+  json::field(out, "seed", cfg.seed);
+  json::field(out, "cores", cfg.cores);
+  json::field(out, "pillars", cfg.pillars());
+  json::field(out, "clients", cfg.clients);
+  json::field(out, "client_window", cfg.client_window);
+  json::field(out, "checkpoint_interval", cfg.protocol.checkpoint_interval);
+  json::field(out, "window", cfg.protocol.window);
+  json::field(out, "warmup_ns", cfg.warmup);
+  json::field(out, "measure_ns", cfg.measure);
+  json::field(out, "fault_events", cfg.faults.size());
+  json::field(out, "lane_stalls", cfg.lane_stalls.size());
+  json::field(out, "wan", cfg.wan.enabled);
+  json::field(out, "partitions", cfg.wan.partitions.size());
+  json::field(out, "adversary_replica", cfg.protocol.adversary.replica);
+  json::field(out, "adversary_equivocate", cfg.protocol.adversary.equivocate);
+  json::field(out, "adversary_omit_targets",
+              cfg.protocol.adversary.omit_votes_to.size());
   out += "},\n  \"results\":{";
-  field(out, "throughput_ops", r.sim.throughput_ops);
-  out += ',';
-  field(out, "completed_ops", r.sim.completed_ops);
-  out += ',';
-  field(out, "latency_mean_us", r.sim.latency_mean_us);
-  out += ',';
-  field(out, "latency_p50_us", r.sim.latency_p50_us);
-  out += ',';
-  field(out, "latency_p99_us", r.sim.latency_p99_us);
-  out += ',';
-  field(out, "instances", r.sim.instances);
-  out += ',';
-  field(out, "state_transfers", r.sim.state_transfers);
-  out += ',';
-  field(out, "fork_detections", r.sim.fork_detections);
-  out += ',';
-  field(out, "invariant_firings", r.invariant_firings);
-  out += ',';
-  field(out, "adversary_equivocations", r.sim.adversary_equivocations);
-  out += ',';
-  field(out, "adversary_omissions", r.sim.adversary_omissions);
-  out += ',';
-  field(out, "last_fault_clear_ns", static_cast<std::uint64_t>(r.last_fault_clear_ns));
-  out += ',';
-  field(out, "post_fault_completed_ops", r.post_fault_completed_ops);
-  out += ',';
-  field(out, "recoveries_complete", r.recoveries_complete);
+  json::field(out, "throughput_ops", r.sim.throughput_ops);
+  json::field(out, "completed_ops", r.sim.completed_ops);
+  json::field(out, "latency_mean_us", r.sim.latency_mean_us);
+  json::field(out, "latency_p50_us", r.sim.latency_p50_us);
+  json::field(out, "latency_p99_us", r.sim.latency_p99_us);
+  json::field(out, "instances", r.sim.instances);
+  json::field(out, "state_transfers", r.sim.state_transfers);
+  json::field(out, "fork_detections", r.sim.fork_detections);
+  json::field(out, "invariant_firings", r.invariant_firings);
+  json::field(out, "adversary_equivocations", r.sim.adversary_equivocations);
+  json::field(out, "adversary_omissions", r.sim.adversary_omissions);
+  json::field(out, "last_fault_clear_ns", r.last_fault_clear_ns);
+  json::field(out, "post_fault_completed_ops", r.post_fault_completed_ops);
+  json::field(out, "recoveries_complete", r.recoveries_complete);
   out += ",\"replica_next_seq\":[";
-  for (std::size_t i = 0; i < r.sim.replica_next_seq.size(); ++i) {
-    if (i) out += ',';
-    append_number(out, r.sim.replica_next_seq[i]);
-  }
+  for (std::uint64_t seq : r.sim.replica_next_seq) json::append(out, seq);
   out += "],\"ops_timeline_10ms\":[";
-  for (std::size_t i = 0; i < r.sim.ops_timeline.size(); ++i) {
-    if (i) out += ',';
-    append_number(out, r.sim.ops_timeline[i]);
-  }
+  for (std::uint64_t ops : r.sim.ops_timeline) json::append(out, ops);
   out += "]}\n}\n";
   return out;
 }

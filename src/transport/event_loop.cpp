@@ -278,12 +278,17 @@ void EventLoop::adopt(std::shared_ptr<Conn> conn) {
 }
 
 void EventLoop::schedule_flush(std::shared_ptr<Conn> conn) {
+  bool was_empty;
   {
     MutexLock lock(mutex_);
     if (stopping_) return;  // frames die with the connections at shutdown
+    was_empty = dirty_.empty();
     dirty_.push_back(std::move(conn));
   }
-  wake();
+  // A non-empty list already has a wake on its way: whoever pushed onto
+  // the empty list writes the eventfd after its push, and the loop drains
+  // the whole list after it reads that write.
+  if (was_empty) wake();
 }
 
 void EventLoop::request_close(std::shared_ptr<Conn> conn) {

@@ -42,13 +42,8 @@ class FrameSink {
   /// Non-blocking admission used by event-driven transports: an event-loop
   /// thread multiplexes thousands of connections and must never park on
   /// one sink's backpressure. On kBusy/kClosed `frame` is left intact so
-  /// the caller can queue it with a deadline or shed it. The default
-  /// bridges sinks that predate admission control onto their blocking
-  /// deliver() — correct, but it can stall the calling loop, so the
-  /// high-fan-in sinks (Inbox, Pillar, StateTransferManager) override it.
-  virtual Admit try_deliver(ReceivedFrame& frame) {
-    return deliver(std::move(frame)) ? Admit::kAdmitted : Admit::kClosed;
-  }
+  /// the caller can queue it with a deadline or shed it.
+  virtual Admit try_deliver(ReceivedFrame& frame) = 0;
 };
 
 /// FrameSink backed by a bounded queue; the default receiving end for

@@ -1,16 +1,89 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <thread>
 
 #include "common/hex.hpp"
 #include "common/histogram.hpp"
+#include "common/json.hpp"
 #include "common/queue.hpp"
 #include "common/rng.hpp"
 #include "protocol/config.hpp"
 
 namespace copbft {
 namespace {
+
+// ---- json -----------------------------------------------------------
+
+TEST(Json, ValidAcceptsAndRejects) {
+  EXPECT_TRUE(json::valid(R"({"a":[1,2.5,-3e4],"b":{"c":"x\"y"},"d":null})"));
+  EXPECT_TRUE(json::valid("[]"));
+  EXPECT_TRUE(json::valid(" {\"u\":\"\\u00e9\"}\n"));
+  EXPECT_FALSE(json::valid(""));
+  EXPECT_FALSE(json::valid(R"({"a":1,})"));
+  EXPECT_FALSE(json::valid(R"({"a":inf})"));
+  EXPECT_FALSE(json::valid(R"({"a":1)"));
+  EXPECT_FALSE(json::valid(R"(["unterminated)"));
+  EXPECT_FALSE(json::valid(R"(["bad \q escape"])"));
+  EXPECT_FALSE(json::valid("[1] [2]"));
+  EXPECT_TRUE(json::valid("[0,-0.5,1E+2,2e-3]"));
+  for (const char* bad : {"[-.5]", "[01]", "[1.]", "[1.e5]", "[-]", "[1e]"})
+    EXPECT_FALSE(json::valid(bad)) << bad << " is no JSON number";
+  EXPECT_FALSE(json::valid(std::string(300, '[') + std::string(300, ']')))
+      << "nesting past the depth bound is rejected, not recursed into";
+}
+
+TEST(Json, ParseYieldsValues) {
+  auto doc = json::parse(
+      R"({"a":[1,2.5,-3e4],"b":{"c":"x\"y\u00e9"},"d":null,"e":true})");
+  ASSERT_TRUE(doc);
+  const json::Value* a = doc->find("a");
+  ASSERT_TRUE(a);
+  ASSERT_EQ(a->items.size(), 3u);
+  EXPECT_EQ(a->items[1].number, 2.5);
+  EXPECT_EQ(a->items[2].number, -3e4);
+  const json::Value* c = doc->find("b")->find("c");
+  ASSERT_TRUE(c);
+  EXPECT_EQ(c->string, "x\"y\xc3\xa9");
+  EXPECT_EQ(doc->find("d")->kind, json::Value::Kind::kNull);
+  EXPECT_TRUE(doc->find("e")->boolean);
+  EXPECT_EQ(doc->find("missing"), nullptr);
+  EXPECT_EQ(a->find("a"), nullptr) << "an array has no members";
+}
+
+TEST(Json, WriterFormatsScalarsAndPlacesCommas) {
+  std::string out = "{";
+  json::field(out, "s", "q\"b\\c\n\x01");
+  json::field(out, "u", std::uint64_t{18446744073709551615ULL});
+  json::field(out, "i", std::int64_t{-42});
+  json::field(out, "d", 0.600123456);
+  json::field(out, "b", false);
+  out += ",\n  \"list\":[";
+  for (int v : {1, 2}) json::append(out, v);
+  out += "]}";
+  EXPECT_EQ(out,
+            R"({"s":"q\"b\\c\u000a\u0001","u":18446744073709551615,)"
+            "\"i\":-42,\"d\":0.600123,\"b\":false,\n  \"list\":[1,2]}");
+  EXPECT_TRUE(json::valid(out));
+
+  for (double bad : {INFINITY, -INFINITY, NAN, -NAN}) {
+    std::string v;
+    json::append(v, bad);
+    EXPECT_EQ(v, "null") << "JSON has no spelling for " << bad;
+  }
+}
+
+TEST(Json, WrittenStringsReadBack) {
+  const std::string original = "tab\there \"quoted\" back\\slash \x1f end";
+  std::string out = "[";
+  json::append(out, original);
+  out += ']';
+  auto doc = json::parse(out);
+  ASSERT_TRUE(doc) << out;
+  ASSERT_EQ(doc->items.size(), 1u);
+  EXPECT_EQ(doc->items[0].string, original);
+}
 
 // ---- hex ------------------------------------------------------------
 

@@ -12,28 +12,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/queue.hpp"
 #include "common/trace.hpp"
 #include "support/cluster_fixture.hpp"
-#include "support/json_check.hpp"
 
 namespace copbft::test {
 namespace {
-
-// The JSON mini-validator used throughout this file is the shared one from
-// bench/support/json_check.hpp — the same definition of "well-formed" the
-// validate_bench_json CLI enforces on BENCH_*.json artifacts in CI.
-using copbft::bench::JsonCheck;
-
-TEST(JsonCheckSelfTest, AcceptsAndRejects) {
-  EXPECT_TRUE(JsonCheck(R"({"a":[1,2.5,-3e4],"b":{"c":"x\"y"},"d":null})").valid());
-  EXPECT_TRUE(JsonCheck("[]").valid());
-  EXPECT_FALSE(JsonCheck(R"({"a":1,})").valid());
-  EXPECT_FALSE(JsonCheck(R"({"a":inf})").valid());
-  EXPECT_FALSE(JsonCheck(R"({"a":1)").valid());
-  EXPECT_FALSE(JsonCheck(R"(["unterminated)").valid());
-}
 
 #if COP_METRICS_ENABLED
 
@@ -115,7 +101,7 @@ TEST(Metrics, SnapshotDuringUpdateIsSafe) {
   std::uint64_t last = before;
   while (scrapes < 50) {
     std::string json = reg.snapshot_json();
-    ASSERT_TRUE(JsonCheck(json).valid()) << json.substr(0, 200);
+    ASSERT_TRUE(json::valid(json)) << json.substr(0, 200);
     std::uint64_t now = c.value();
     EXPECT_GE(now, last) << "counter went backwards";
     last = now;
@@ -134,7 +120,7 @@ TEST(Metrics, SnapshotJsonValidWithSortedStableKeys) {
   reg.counter("test.order.aa").add();
   reg.counter("test.order.mm").add();
   std::string json = reg.snapshot_json();
-  ASSERT_TRUE(JsonCheck(json).valid()) << json.substr(0, 200);
+  ASSERT_TRUE(json::valid(json)) << json.substr(0, 200);
   auto a = json.find("\"test.order.aa\"");
   auto m = json.find("\"test.order.mm\"");
   auto z = json.find("\"test.order.zz\"");
@@ -229,7 +215,7 @@ TEST(Trace, SnapshotJsonIsValid) {
   trace::point(trace::Point::kCommit, 0, 1, 42, 0, 0, 0);
   std::string json = log.snapshot_json();
   log.disable();
-  EXPECT_TRUE(JsonCheck(json).valid()) << json;
+  EXPECT_TRUE(json::valid(json)) << json;
   EXPECT_NE(json.find("\"point\":\"client_send\""), std::string::npos);
   EXPECT_NE(json.find("\"point\":\"commit\""), std::string::npos);
   EXPECT_NE(json.find("\"seq\":42"), std::string::npos);
@@ -278,7 +264,7 @@ TEST(MetricsCluster, ClusterRunProducesSeriesAndReconstructibleTrace) {
   EXPECT_GE(client_sent.value(), c0 + 20);
 
   std::string json = reg.snapshot_json();
-  ASSERT_TRUE(JsonCheck(json).valid());
+  ASSERT_TRUE(json::valid(json));
   for (const char* key :
        {"\"replica0.pillar0.frames_in\"", "\"replica0.exec.execute_us\"",
         "\"replica0.pillar0.queue_depth\"", "\"client.latency_us\""})

@@ -6,8 +6,8 @@
 #include <set>
 #include <string>
 
+#include "common/json.hpp"
 #include "sim/scenario.hpp"
-#include "support/json_check.hpp"
 
 namespace copbft::test {
 namespace {
@@ -58,7 +58,7 @@ TEST(ScenarioEngine, ArtifactIsBitIdenticalAcrossRuns) {
   std::string b = scenario_json(spec, second);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "scenario artifact must be deterministic";
-  EXPECT_TRUE(copbft::bench::JsonCheck(a).valid());
+  EXPECT_TRUE(json::valid(a));
 }
 
 TEST(ScenarioEngine, LastFaultClearSpansAllFaultSources) {

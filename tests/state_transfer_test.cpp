@@ -394,6 +394,51 @@ TEST_F(ManagerTest, UnstableOrStaleCheckpointsAreNotServed) {
   EXPECT_EQ(manager_->stats().snapshots_served, 0u);
 }
 
+TEST_F(ManagerTest, StabilityNotedBeforeItsArtifactIsServed) {
+  manager_self_ = 0;
+  start_manager(0);
+  const Bytes artifact = to_bytes("artifact-1000");
+  const crypto::Digest digest = crypto_->digest(artifact);
+  // A replica whose snapshot finishes after its peers' votes arrive hears
+  // of stability first.
+  manager_->note_stable(1000, digest, {0, 1, 2});
+  manager_->store_checkpoint(1000, digest, artifact);
+  deliver_from(3, protocol::StateRequest{1, 3, {}});
+
+  auto sent = wait_sent(1);
+  ASSERT_EQ(sent.size(), 1u);
+  auto decoded = decode_message(sent[0].frame);
+  ASSERT_TRUE(decoded);
+  const auto& reply = std::get<protocol::StateReply>(decoded->msg);
+  EXPECT_EQ(reply.seq, 1000u);
+  EXPECT_EQ(reply.digest, digest);
+  EXPECT_EQ(reply.data, artifact);
+  EXPECT_EQ(manager_->stats().snapshots_served, 1u);
+}
+
+TEST_F(ManagerTest, HoldsOnlyWhatItCanStillServe) {
+  manager_self_ = 0;
+  start_manager(0);
+  for (SeqNum seq : {1000u, 2000u}) {
+    const Bytes artifact = to_bytes("artifact-" + std::to_string(seq));
+    manager_->store_checkpoint(seq, crypto_->digest(artifact), artifact);
+  }
+  for (SeqNum seq : {1000u, 2000u}) {
+    const Bytes artifact = to_bytes("artifact-" + std::to_string(seq));
+    manager_->note_stable(seq, crypto_->digest(artifact), {0, 1, 2});
+  }
+  // The manager handles its inputs in order, so the reply comes after
+  // both stability notices.
+  deliver_from(3, protocol::StateRequest{1, 3, {}});
+  auto sent = wait_sent(1);
+  ASSERT_EQ(sent.size(), 1u);
+  auto decoded = decode_message(sent[0].frame);
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(std::get<protocol::StateReply>(decoded->msg).seq, 2000u);
+  EXPECT_EQ(manager_->stats().held_checkpoints, 1u)
+      << "the artifact at 1000 can never be served once 2000 is stable";
+}
+
 TEST_F(ManagerTest, ByzantineSnapshotRejectedThenNextPeerSucceeds) {
   start_manager(3);
   auto [seq, digest, artifact, service_digest] = donor_artifact();

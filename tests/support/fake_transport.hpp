@@ -43,6 +43,14 @@ class FakeTransport final : public transport::Transport {
     return sent_.size();
   }
 
+  /// The sink last registered for `lane`, or nullptr.
+  std::shared_ptr<transport::FrameSink> sink(transport::LaneId lane) const {
+    std::lock_guard lock(mutex_);
+    for (auto it = sinks_.rbegin(); it != sinks_.rend(); ++it)
+      if (it->first == lane) return it->second;
+    return nullptr;
+  }
+
  private:
   mutable std::mutex mutex_;
   std::vector<Sent> sent_;

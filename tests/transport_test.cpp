@@ -5,14 +5,21 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <filesystem>
+#include <future>
 #include <set>
 #include <thread>
 
+#include "app/null_service.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "core/smart_replica.hpp"
+#include "core/top_replica.hpp"
+#include "crypto/provider.hpp"
 #include "protocol/types.hpp"
+#include "support/fake_transport.hpp"
 #include "transport/event_loop.hpp"
 #include "transport/inproc.hpp"
 #include "transport/tcp.hpp"
@@ -747,8 +754,11 @@ class EchoSink final : public FrameSink {
  public:
   explicit EchoSink(TcpTransport& transport) : transport_(transport) {}
   bool deliver(ReceivedFrame frame) override {
+    return try_deliver(frame) == Admit::kAdmitted;
+  }
+  Admit try_deliver(ReceivedFrame& frame) override {
     transport_.send(frame.from, frame.lane, std::move(frame.bytes));
-    return true;
+    return Admit::kAdmitted;
   }
   void close() override {}
 
@@ -819,6 +829,161 @@ TEST(TcpSoak, ThousandsOfClientsRoundTrip) {
                 .gauge("tcp.node1.accepted_conns")
                 .max(),
             static_cast<std::int64_t>(kSoakClients));
+
+  mux.shutdown();
+  replica.shutdown();
+}
+
+// ---- replica front stages ---------------------------------------------
+
+/// What one more try_deliver answers once the lane-0 sink of a replica that
+/// was never started (so nothing drains it) is full. A sink that blocks
+/// instead would park an event-loop lane; after 2 s the sink is closed to
+/// end such a wait, which then reads as kClosed.
+template <class ReplicaT>
+Admit admission_when_full(core::ReplicaRuntimeConfig config) {
+  config.queue_capacity = 2;
+  auto crypto = crypto::make_real_crypto(1);
+  FakeTransport transport;
+  ReplicaT replica(0, config, std::make_unique<app::NullService>(), *crypto,
+                   transport);
+  std::shared_ptr<FrameSink> sink = transport.sink(0);
+  if (!sink) {
+    ADD_FAILURE() << "no lane-0 sink registered";
+    return Admit::kClosed;
+  }
+  for (std::size_t i = 0; i < config.queue_capacity; ++i) {
+    ReceivedFrame frame{1, 0, to_bytes("x")};
+    EXPECT_EQ(sink->try_deliver(frame), Admit::kAdmitted);
+  }
+  auto answer = std::async(std::launch::async, [&sink] {
+    ReceivedFrame frame{1, 0, to_bytes("x")};
+    return sink->try_deliver(frame);
+  });
+  if (answer.wait_for(std::chrono::seconds(2)) != std::future_status::ready)
+    sink->close();
+  const Admit admit = answer.get();
+  replica.stop();
+  return admit;
+}
+
+TEST(FrontStageAdmission, FullTopIngressAnswersBusy) {
+  EXPECT_EQ(admission_when_full<core::TopReplica>({}), Admit::kBusy);
+}
+
+TEST(FrontStageAdmission, FullSmartVerifyPoolAnswersBusy) {
+  core::ReplicaRuntimeConfig config;
+  config.protocol.max_active_proposals = 1;
+  EXPECT_EQ(admission_when_full<core::SmartReplica>(config), Admit::kBusy);
+}
+
+// ---- flush wake-ups ---------------------------------------------------
+
+/// Collects frames into an Inbox. While held, the first frame offered parks
+/// the delivering lane thread until release().
+class GateSink final : public FrameSink {
+ public:
+  bool deliver(ReceivedFrame frame) override {
+    return try_deliver(frame) == Admit::kAdmitted;
+  }
+  Admit try_deliver(ReceivedFrame& frame) override {
+    {
+      std::unique_lock lock(mutex_);
+      if (held_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return !held_; });
+      }
+    }
+    return inbox_.try_deliver(frame);
+  }
+  void close() override {
+    release();
+    inbox_.close();
+  }
+
+  void hold() {
+    std::lock_guard lock(mutex_);
+    held_ = true;
+    entered_ = false;
+  }
+  bool wait_entered() {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entered_; });
+  }
+  void release() {
+    std::lock_guard lock(mutex_);
+    held_ = false;
+    cv_.notify_all();
+  }
+  BoundedQueue<ReceivedFrame>& queue() { return inbox_.queue(); }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool entered_ = false;
+  Inbox inbox_;
+};
+
+// A flush scheduled while another is pending writes no eventfd: the first
+// one's write covers it. Every client connection rides the mux's single
+// lane thread, so their flushes share one dirty list. Phase 1 parks that
+// thread inside a sink while the other clients send, so every flush after
+// the first lands on a non-empty list; all must reach the peer. Phase 2
+// sends to an idle loop, single frames and bursts: a wake lost there would
+// leave each round to the loop's 100 ms poll.
+TEST(TcpWake, FlushesScheduledWhileOneIsPendingAllArrive) {
+  constexpr int kClients = 8;
+  constexpr int kRounds = 24;
+  const std::uint16_t port = pick_port(30000);
+  TcpTransport replica(1, port, {});
+  replica.register_sink(0, std::make_shared<EchoSink>(replica));
+  ASSERT_TRUE(replica.start());
+  TcpOptions one_lane;
+  one_lane.lane_threads = 1;
+  TcpTransport mux(9000, /*listen_port=*/0, {{1, {"127.0.0.1", port}}},
+                   one_lane);
+  ASSERT_TRUE(mux.start());
+  auto gate = std::make_shared<GateSink>();
+  std::vector<std::shared_ptr<Transport>> clients;
+  for (std::uint32_t i = 0; i < kClients; ++i) {
+    clients.push_back(mux.client_endpoint(20'000 + i));
+    clients.back()->register_sink(0, gate);
+  }
+  auto send_from = [&](int first, int count) {
+    bool ok = true;
+    for (int i = first; i < first + count; ++i)
+      ok = clients[i]->send(1, 0, to_bytes("x")) && ok;
+    return ok;
+  };
+  auto replies = [&](int count) {
+    for (int i = 0; i < count; ++i)
+      if (!gate->queue().pop_for(std::chrono::seconds(10))) return i;
+    return count;
+  };
+  ASSERT_TRUE(send_from(0, kClients));  // dials every connection
+  ASSERT_EQ(replies(kClients), kClients);
+
+  gate->hold();
+  ASSERT_TRUE(send_from(0, 1));
+  const bool entered = gate->wait_entered();
+  const bool sent = send_from(1, kClients - 1);
+  gate->release();
+  ASSERT_TRUE(entered) << "the lane thread never reached the sink";
+  ASSERT_TRUE(sent);
+  ASSERT_EQ(replies(kClients), kClients);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int round = 0; round < kRounds; ++round) {
+    const int count = round % 3 == 0 ? 1 : kClients;
+    ASSERT_TRUE(send_from(0, count));
+    ASSERT_EQ(replies(count), count) << "round " << round;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            kRounds * std::chrono::milliseconds(25))
+      << "rounds waited for the loop's poll instead of a wake";
 
   mux.shutdown();
   replica.shutdown();

@@ -8,7 +8,6 @@
 // Exit codes: 0 clean, 1 unsuppressed findings or a baseline/expect
 // mismatch, 2 usage or I/O error.
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -17,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "rules.hpp"
 #include "scan.hpp"
 
@@ -25,6 +25,7 @@ using coplint::Config;
 using coplint::Finding;
 using coplint::GlobalIndex;
 using coplint::SourceFile;
+namespace json = copbft::json;
 
 namespace {
 
@@ -67,28 +68,6 @@ std::string read_file(const std::string& path, bool* ok) {
   return ss.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string canonical_line(const Finding& f) {
   std::string s = f.file + ":" + std::to_string(f.line) + ": " + f.rule +
                   ": " + f.message;
@@ -96,55 +75,31 @@ std::string canonical_line(const Finding& f) {
   return s;
 }
 
-/// Tolerant extraction of {"key": <int>} pairs from the object following
-/// `"section":` in hand-written or tool-written baseline JSON.
-std::map<std::string, long> parse_count_object(const std::string& text,
-                                               const std::string& section) {
-  std::map<std::string, long> out;
-  std::size_t pos = text.find("\"" + section + "\"");
-  if (pos == std::string::npos) return out;
-  std::size_t open = text.find('{', pos);
-  if (open == std::string::npos) return out;
-  std::size_t close = text.find('}', open);
-  if (close == std::string::npos) return out;
-  std::size_t i = open;
-  while (i < close) {
-    std::size_t k0 = text.find('"', i);
-    if (k0 == std::string::npos || k0 >= close) break;
-    std::size_t k1 = text.find('"', k0 + 1);
-    if (k1 == std::string::npos || k1 >= close) break;
-    std::string key = text.substr(k0 + 1, k1 - k0 - 1);
-    std::size_t colon = text.find(':', k1);
-    if (colon == std::string::npos || colon >= close) break;
-    long value = 0;
-    std::size_t v = colon + 1;
-    while (v < close && std::isspace(static_cast<unsigned char>(text[v])))
-      ++v;
-    bool any = false;
-    while (v < close && std::isdigit(static_cast<unsigned char>(text[v]))) {
-      value = value * 10 + (text[v] - '0');
-      ++v;
-      any = true;
-    }
-    if (any) out[key] = value;
-    i = v + 1;
-  }
+std::string quote(std::string_view s) {
+  std::string out;
+  json::append_string(out, s);
   return out;
+}
+
+/// A per-rule count object, one member per line, closed at `indent`: the
+/// layout of both the report and the baseline.
+std::string count_object(const std::map<std::string, long>& counts,
+                         const std::string& indent) {
+  std::string out = "{";
+  const char* sep = "\n";
+  for (const auto& [rule, n] : counts) {
+    out += sep + indent + "  " + quote(rule) + ": " + std::to_string(n);
+    sep = ",\n";
+  }
+  return out + (counts.empty() ? "}" : "\n" + indent + "}");
 }
 
 std::string baseline_json(const std::map<std::string, long>& per_rule) {
   long total = 0;
   for (const auto& [rule, n] : per_rule) total += n;
-  std::ostringstream out;
-  out << "{\n  \"tool\": \"coplint-baseline\",\n  \"suppressed_total\": "
-      << total << ",\n  \"suppressed_per_rule\": {";
-  bool first = true;
-  for (const auto& [rule, n] : per_rule) {
-    out << (first ? "\n" : ",\n") << "    \"" << rule << "\": " << n;
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "}\n}\n";
-  return out.str();
+  return "{\n  \"tool\": \"coplint-baseline\",\n  \"suppressed_total\": " +
+         std::to_string(total) + ",\n  \"suppressed_per_rule\": " +
+         count_object(per_rule, "  ") + "\n}\n";
 }
 
 int usage(const std::string& msg) {
@@ -276,36 +231,26 @@ int main(int argc, char** argv) {
     std::ofstream out(opt.json_path, std::ios::binary);
     if (!out) return usage("cannot write " + opt.json_path);
     out << "{\n  \"tool\": \"coplint\",\n  \"version\": \"" << kVersion
-        << "\",\n  \"root\": \"" << json_escape(root.generic_string())
-        << "\",\n  \"files_scanned\": " << files.size()
+        << "\",\n  \"root\": " << quote(root.generic_string())
+        << ",\n  \"files_scanned\": " << files.size()
         << ",\n  \"counts\": {\n    \"unsuppressed\": " << unsuppressed
         << ",\n    \"suppressed\": " << suppressed
-        << ",\n    \"per_rule\": {";
-    bool first = true;
-    for (const auto& [rule, n] : per_rule_unsuppressed) {
-      out << (first ? "\n" : ",\n") << "      \"" << rule << "\": " << n;
-      first = false;
-    }
-    out << (first ? "" : "\n    ") << "},\n    \"per_rule_suppressed\": {";
-    first = true;
-    for (const auto& [rule, n] : per_rule_suppressed) {
-      out << (first ? "\n" : ",\n") << "      \"" << rule << "\": " << n;
-      first = false;
-    }
-    out << (first ? "" : "\n    ") << "}\n  },\n  \"findings\": [";
-    first = true;
+        << ",\n    \"per_rule\": "
+        << count_object(per_rule_unsuppressed, "    ")
+        << ",\n    \"per_rule_suppressed\": "
+        << count_object(per_rule_suppressed, "    ")
+        << "\n  },\n  \"findings\": [";
+    const char* sep = "\n";
     for (const Finding& f : findings) {
-      out << (first ? "\n" : ",\n") << "    {\"file\": \""
-          << json_escape(f.file) << "\", \"line\": " << f.line
-          << ", \"rule\": \"" << f.rule << "\", \"suppressed\": "
-          << (f.suppressed ? "true" : "false") << ", \"message\": \""
-          << json_escape(f.message) << "\"";
-      if (f.suppressed)
-        out << ", \"reason\": \"" << json_escape(f.reason) << "\"";
+      out << sep << "    {\"file\": " << quote(f.file)
+          << ", \"line\": " << f.line << ", \"rule\": " << quote(f.rule)
+          << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
+          << ", \"message\": " << quote(f.message);
+      if (f.suppressed) out << ", \"reason\": " << quote(f.reason);
       out << "}";
-      first = false;
+      sep = ",\n";
     }
-    out << (first ? "" : "\n  ") << "]\n}\n";
+    out << (findings.empty() ? "" : "\n  ") << "]\n}\n";
   }
 
   if (!opt.write_baseline_path.empty()) {
@@ -368,11 +313,16 @@ int main(int argc, char** argv) {
     std::string text = read_file(opt.baseline_path, &ok);
     if (!ok) text = read_file((root / opt.baseline_path).string(), &ok);
     if (!ok) return usage("cannot read baseline " + opt.baseline_path);
-    std::map<std::string, long> budget =
-        parse_count_object(text, "suppressed_per_rule");
+    const std::optional<json::Value> doc = json::parse(text);
+    if (!doc)
+      return usage("baseline " + opt.baseline_path + " is not valid JSON");
+    const json::Value* per_rule = doc->find("suppressed_per_rule");
+    if (!per_rule || per_rule->kind != json::Value::Kind::kObject)
+      return usage("baseline " + opt.baseline_path +
+                   " has no \"suppressed_per_rule\" object");
     for (const auto& [rule, n] : per_rule_suppressed) {
-      auto it = budget.find(rule);
-      long allowed = it == budget.end() ? 0 : it->second;
+      const json::Value* budget = per_rule->find(rule);
+      const long allowed = budget ? static_cast<long>(budget->number) : 0;
       if (n > allowed) {
         std::cerr << "coplint: suppression budget exceeded for " << rule
                   << ": " << n << " suppressions, baseline allows "
