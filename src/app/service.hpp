@@ -10,7 +10,14 @@
 // inside the pillar, outside the total order. post_process() runs on the
 // execution stage after execute(), before the reply is sealed. Neither may
 // touch ordered state.
+//
+// At a checkpoint the execution stage takes a version() of the state and
+// hands it to the state-transfer manager, which encodes it only when a
+// peer asks for it. A service whose version() is cheap (KvStore's is
+// O(buckets)) keeps the checkpoint off the execution critical path.
 #pragma once
+
+#include <memory>
 
 #include "common/bytes.hpp"
 #include "crypto/provider.hpp"
@@ -21,6 +28,27 @@ namespace copbft::app {
 /// Result type of Service::classify, which nothing in the replica calls.
 struct AccessClass {
   static AccessClass global() { return {}; }
+};
+
+/// Immutable service state, taken at a quiescent point by
+/// Service::version(). It stays valid, and unchanged, while the service
+/// executes on and after the service is gone.
+class StateVersion {
+ public:
+  virtual ~StateVersion() = default;
+  /// Exactly the bytes Service::snapshot() returned when the version was
+  /// taken. Safe on any thread, concurrently with execution.
+  virtual Bytes encode() const = 0;
+};
+
+/// A version that already holds its encoding.
+class EncodedVersion final : public StateVersion {
+ public:
+  explicit EncodedVersion(Bytes snapshot) : snapshot_(std::move(snapshot)) {}
+  Bytes encode() const override { return snapshot_; }
+
+ private:
+  const Bytes snapshot_;
 };
 
 class Service {
@@ -58,6 +86,15 @@ class Service {
   /// The default (empty + restore() == false) marks a service that cannot
   /// be transferred; laggard replicas of such a service stay stranded.
   virtual Bytes snapshot() const { return {}; }
+
+  /// The state now, as a handle whose encode() gives snapshot()'s bytes
+  /// later, on any thread. Called on the execution stage thread between
+  /// two execute() calls. The default encodes at once, which suits small
+  /// states and wrappers; a large state overrides it to share structure
+  /// with the live state instead.
+  virtual std::shared_ptr<const StateVersion> version() const {
+    return std::make_shared<const EncodedVersion>(snapshot());
+  }
 
   /// Replaces the state with the decoded `snapshot` iff the restored
   /// state's digest equals `expect`. Must be atomic: parse and verify into

@@ -10,10 +10,16 @@
 // The cluster agrees on composite_digest(); the service snapshot itself is
 // verified transitively — Service::restore() only succeeds if the restored
 // state's digest equals `service_digest`, which the composite covers.
+//
+// The execution stage does not encode artifacts: it hands the
+// state-transfer manager a CheckpointHandOff, whose service state is a
+// Service::version(), and the manager encodes it when a peer asks.
 #pragma once
 
+#include <memory>
 #include <optional>
 
+#include "app/service.hpp"
 #include "common/bytes.hpp"
 #include "crypto/provider.hpp"
 
@@ -42,6 +48,22 @@ struct CheckpointArtifact {
   static crypto::Digest checkpoint_digest(const crypto::CryptoProvider& crypto,
                                           ByteSpan client_table,
                                           const crypto::Digest& service_digest);
+};
+
+/// A checkpoint as the execution stage hands it over: the artifact's
+/// parts, with the service state still an unencoded version.
+struct CheckpointHandOff {
+  Bytes client_table;
+  crypto::Digest service_digest;
+  std::shared_ptr<const app::StateVersion> service_state;
+
+  /// The CheckpointArtifact bytes, with service_state->encode() as the
+  /// snapshot. Any thread; the cost is the service state's size.
+  Bytes encode() const {
+    return CheckpointArtifact{client_table, service_digest,
+                              service_state->encode()}
+        .encode();
+  }
 };
 
 }  // namespace copbft::core

@@ -17,8 +17,8 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
   if (config_.num_pillars != config_.protocol.num_pillars)
     throw std::invalid_argument(
         "COP replica needs num_pillars == protocol.num_pillars");
-  // Laggard recovery: the manager serves the artifacts the execution
-  // stage produces and, when a pillar reports being stranded, fetches and
+  // Laggard recovery: the manager serves the checkpoints the execution
+  // stage hands it and, when a pillar reports being stranded, fetches and
   // installs a peer checkpoint, then slides every pillar's window to it.
   state_ = std::make_shared<StateTransferManager>(
       self_, config_, crypto, transport_, exec_,
@@ -30,8 +30,9 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
         }
       });
   exec_.set_snapshot_fn([this](protocol::SeqNum seq,
-                               const crypto::Digest& digest, Bytes artifact) {
-    state_->store_checkpoint(seq, digest, std::move(artifact));
+                               const crypto::Digest& digest,
+                               CheckpointHandOff checkpoint) {
+    state_->store_checkpoint(seq, digest, std::move(checkpoint));
   });
   transport_.register_sink(state_->lane(), state_);
   // Checkpoint rounds and gap fills go to the pillar they name.
@@ -41,7 +42,7 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
 
   // Checkpoint stability found by one pillar is fanned out to siblings so
   // all of them can truncate logs and stay within the drift bound; the
-  // transfer manager learns it to mark held artifacts servable.
+  // transfer manager learns it to mark held checkpoints servable.
   auto on_stable = [this](protocol::SeqNum seq, const crypto::Digest& digest,
                           const std::vector<protocol::ReplicaId>& voters,
                           std::uint32_t origin) {

@@ -258,20 +258,19 @@ bool ExecutionStage::already_executed(ClientState& state,
                                       protocol::RequestId id) const {
   if (state.max_done >= kDedupWindow && id <= state.max_done - kDedupWindow)
     return true;  // far below the window: long done
-  return state.done.contains(id);
+  return std::binary_search(state.done.begin(), state.done.end(), id);
 }
 
 void ExecutionStage::record_executed(ClientState& state,
                                      protocol::RequestId id) {
-  state.done.insert(id);
+  const auto at = std::lower_bound(state.done.begin(), state.done.end(), id);
+  if (at == state.done.end() || *at != id) state.done.insert(at, id);
   if (id > state.max_done) state.max_done = id;
   // Prune entries that fell below the dedup window.
-  if (state.done.size() > 2 * kDedupWindow) {
-    std::erase_if(state.done, [&](protocol::RequestId done_id) {
-      return state.max_done >= kDedupWindow &&
-             done_id <= state.max_done - kDedupWindow;
-    });
-  }
+  if (state.done.size() > 2 * kDedupWindow && state.max_done >= kDedupWindow)
+    state.done.erase(state.done.begin(),
+                     std::upper_bound(state.done.begin(), state.done.end(),
+                                      state.max_done - kDedupWindow));
 }
 
 COP_HOT void ExecutionStage::execute_request(const protocol::Request& request,
@@ -345,11 +344,10 @@ void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {
   const crypto::Digest service_digest = service_.state_digest();
   const crypto::Digest digest = CheckpointArtifact::checkpoint_digest(
       crypto_, client_table, service_digest);
-  if (snapshot_fn_) {
-    CheckpointArtifact artifact{std::move(client_table), service_digest,
-                                service_.snapshot()};
-    snapshot_fn_(seq, digest, artifact.encode());
-  }
+  if (snapshot_fn_)
+    snapshot_fn_(seq, digest,
+                 CheckpointHandOff{std::move(client_table), service_digest,
+                                   service_.version()});
   // Round-robin checkpoint ownership across pillars (paper §4.2.2).
   const std::uint32_t owner = static_cast<std::uint32_t>(
       (seq / config_.protocol.checkpoint_interval) % config_.num_pillars);
@@ -373,11 +371,8 @@ Bytes ExecutionStage::encode_client_table() const {
     const ClientState& state = clients_.at(id);
     w.u32(id);
     w.u64(state.max_done);
-    std::vector<protocol::RequestId> done(state.done.begin(),
-                                          state.done.end());
-    std::sort(done.begin(), done.end());
-    w.u32(static_cast<std::uint32_t>(done.size()));
-    for (protocol::RequestId rid : done) w.u64(rid);
+    w.u32(static_cast<std::uint32_t>(state.done.size()));
+    for (protocol::RequestId rid : state.done) w.u64(rid);
     // Replies in eviction order so a restored replica evicts identically.
     w.u32(static_cast<std::uint32_t>(state.reply_order.size()));
     for (protocol::RequestId rid : state.reply_order) {
@@ -405,7 +400,10 @@ bool ExecutionStage::decode_client_table(
     std::uint32_t n_done = r.u32();
     if (!r.ok() || r.remaining() / 8 < n_done) return false;
     state.done.reserve(n_done);
-    for (std::uint32_t d = 0; d < n_done; ++d) state.done.insert(r.u64());
+    for (std::uint32_t d = 0; d < n_done; ++d) state.done.push_back(r.u64());
+    std::sort(state.done.begin(), state.done.end());
+    state.done.erase(std::unique(state.done.begin(), state.done.end()),
+                     state.done.end());
     std::uint32_t n_replies = r.u32();
     // Each cached reply occupies >= 20 bytes (id + seq + length prefix).
     if (!r.ok() || r.remaining() / 20 < n_replies) return false;

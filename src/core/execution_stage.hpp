@@ -17,9 +17,13 @@
 //     "Change 7"),
 //   * times gap stalls and asks every pillar to fill its slice (FillGap,
 //     paper §4.2.1),
-//   * digests and snapshots the state every `checkpoint_interval`
-//     sequence numbers and asks the round-robin owner pillar to run the
-//     checkpoint agreement (StartCheckpoint, paper §4.2.2),
+//   * digests the state every `checkpoint_interval` sequence numbers,
+//     asks the round-robin owner pillar to run the checkpoint agreement
+//     (StartCheckpoint, paper §4.2.2) and hands the state-transfer
+//     manager the client table and a Service::version() of the state.
+//     The stage encodes no snapshot: a KvStore version costs it
+//     O(buckets), and the manager encodes on its own thread when a peer
+//     asks (docs/performance.md "Change 10"),
 //   * installs checkpoints fetched by state transfer.
 //
 // Commands leave through the command hook, which the host maps onto its
@@ -34,13 +38,14 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
+#include <vector>
 
 #include "app/service.hpp"
 #include "common/metrics.hpp"
 #include "common/queue.hpp"
 #include "common/threading.hpp"
+#include "core/checkpoint_artifact.hpp"
 #include "core/events.hpp"
 #include "core/runtime_config.hpp"
 
@@ -94,10 +99,11 @@ class StageCounter {
 
 class ExecutionStage {
  public:
-  /// Receives (seq, composite digest, encoded CheckpointArtifact) on every
-  /// checkpoint boundary; the host stores it for serving state transfers.
-  using SnapshotFn =
-      std::function<void(protocol::SeqNum, const crypto::Digest&, Bytes)>;
+  /// Receives (seq, composite digest, hand-off) on every checkpoint
+  /// boundary, on the stage thread; the host holds the hand-off for
+  /// serving state transfers and encodes it only when asked.
+  using SnapshotFn = std::function<void(protocol::SeqNum, const crypto::Digest&,
+                                        CheckpointHandOff)>;
 
   ExecutionStage(ReplicaId self, const ReplicaRuntimeConfig& config,
                  app::Service& service, const crypto::CryptoProvider& crypto,
@@ -107,7 +113,7 @@ class ExecutionStage {
   /// Closes the inbox; the stage drains what is queued, then exits.
   void stop();
 
-  /// Install before start(); snapshots are only materialized when set.
+  /// Install before start(); versions are only taken when set.
   void set_snapshot_fn(SnapshotFn fn) { snapshot_fn_ = std::move(fn); }
   /// Install before start(): delivers each StartCheckpoint and FillGap to
   /// the pillar it names. Runs on the stage thread and must not wait on
@@ -142,10 +148,10 @@ class ExecutionStage {
   };
   struct ClientState {
     protocol::RequestId max_done = 0;
-    /// Executed ids above the pruning floor (async windows commit out of
-    /// order within a client).
-    // COPLINT(allow:det-unordered-member: lookup-only dedup set; pruning walks ids numerically from max_done, never by iteration)
-    std::unordered_set<protocol::RequestId> done;
+    /// Executed ids above the pruning floor, ascending, so the checkpoint
+    /// encodes them without a sort. Async windows commit out of order
+    /// within a client, so an id lands a few places from the end.
+    std::vector<protocol::RequestId> done;
     /// Recent replies for retransmission handling: eviction order (oldest
     /// first) plus an id -> reply index for O(1) lookup.
     std::deque<protocol::RequestId> reply_order;

@@ -62,12 +62,12 @@ void StateTransferManager::handle(Event event) {
   if (auto* frame = std::get_if<transport::ReceivedFrame>(&event)) {
     handle_frame(std::move(*frame));
   } else if (auto* store = std::get_if<StoreCheckpoint>(&event)) {
-    // Below the newest stability an artifact can never be served.
+    // Below the newest stability a checkpoint can never be served.
     if (store->seq >= stable_.seq)
-      held_[store->seq] = Held{store->digest, std::move(store->artifact)};
+      held_[store->seq] = Held{store->digest, std::move(store->checkpoint)};
   } else if (auto* stable = std::get_if<MarkStable>(&event)) {
-    // Stability may arrive before its artifact (a snapshot that finishes
-    // after the peers' votes); the artifact is served when it arrives.
+    // Stability may arrive before its checkpoint (a hand-off queued behind
+    // the peers' votes); the checkpoint is served when it arrives.
     if (stable->seq > stable_.seq) {
       stable_ = std::move(*stable);
       held_.erase(held_.begin(), held_.lower_bound(stable_.seq));
@@ -116,14 +116,15 @@ void StateTransferManager::handle_request(
     const protocol::StateRequest& request) {
   // Serve the newest stable checkpoint if it is useful to the requester (at
   // or above its execution frontier; anything older would install as a
-  // no-op and leave it stranded) and this replica holds an artifact that
+  // no-op and leave it stranded) and this replica holds a checkpoint that
   // matches the agreed digest. Otherwise stay silent: the requester's
   // timeout re-asks once the next checkpoint stabilizes.
   const auto it = held_.find(stable_.seq);
   if (stable_.seq < request.min_seq || it == held_.end() ||
       it->second.digest != stable_.digest)
     return;
-  const Bytes& artifact = it->second.artifact;
+  // Encoded here, per request: only a laggard's request pays for the bytes.
+  const Bytes artifact = it->second.checkpoint.encode();
   const std::size_t chunk_bytes =
       std::max<std::size_t>(config_.state_chunk_bytes, 1);
   const std::uint32_t chunk_count = static_cast<std::uint32_t>(

@@ -6,11 +6,14 @@
 // truncation). This manager implements the recovery path:
 //
 //   server side — remembers the newest checkpoint a pillar's agreement
-//   made stable, holds the encoded CheckpointArtifacts the execution stage
-//   produced at or above it, and serves the stable one to peers in chunked
+//   made stable, holds the checkpoint hand-offs the execution stage
+//   produced at or above it (client table, service digest and a version
+//   of the service state), and serves the stable one to peers in chunked
 //   StateReply frames on its own transport lane (lane NP, below the pillar
-//   lanes). Execution runs at most `window` past stability, so at most
-//   window / checkpoint_interval + 1 artifacts are held.
+//   lanes). Each request encodes the artifact afresh on this thread; no
+//   encoding is cached. Execution runs at most `window` past stability, so
+//   at most window / checkpoint_interval + 1 hand-offs are held, and a
+//   dropped one frees its version here, not on the execution stage.
 //
 //   client side — when a pillar reports StateTransferNeeded, broadcasts a
 //   StateRequest to every peer, reassembles per-peer replies, and installs
@@ -51,7 +54,7 @@ struct StateTransferStats {
   /// Install attempts rejected (bad artifact / digest mismatch).
   std::uint64_t snapshots_rejected = 0;
   protocol::SeqNum installed_seq = 0;
-  /// Checkpoint artifacts held for serving peers.
+  /// Checkpoint hand-offs held for serving peers.
   std::uint64_t held_checkpoints = 0;
 };
 
@@ -90,10 +93,10 @@ class StateTransferManager final : public transport::FrameSink {
   }
   void close() override { queue_.close(); }
 
-  /// Execution stage produced a checkpoint artifact (any thread).
+  /// Execution stage reached a checkpoint (any thread).
   void store_checkpoint(protocol::SeqNum seq, const crypto::Digest& digest,
-                        Bytes artifact) {
-    queue_.push(Event{StoreCheckpoint{seq, digest, std::move(artifact)}});
+                        CheckpointHandOff checkpoint) {
+    queue_.push(Event{StoreCheckpoint{seq, digest, std::move(checkpoint)}});
   }
 
   /// A pillar's checkpoint agreement became stable (any thread).
@@ -116,7 +119,7 @@ class StateTransferManager final : public transport::FrameSink {
   struct StoreCheckpoint {
     protocol::SeqNum seq = 0;
     crypto::Digest digest;
-    Bytes artifact;
+    CheckpointHandOff checkpoint;
   };
   struct MarkStable {
     protocol::SeqNum seq = 0;
@@ -135,10 +138,10 @@ class StateTransferManager final : public transport::FrameSink {
   using Event = std::variant<transport::ReceivedFrame, StoreCheckpoint,
                              MarkStable, PeerAhead, InstallDone>;
 
-  /// A checkpoint artifact held for serving peers.
+  /// A checkpoint held for serving peers.
   struct Held {
     crypto::Digest digest;
-    Bytes artifact;
+    CheckpointHandOff checkpoint;
   };
 
   /// Per-peer reassembly of one checkpoint transfer.
@@ -176,8 +179,8 @@ class StateTransferManager final : public transport::FrameSink {
   protocol::CryptoVerifier verifier_;
 
   // Everything below is owned by the manager thread.
-  /// The newest stability heard of, and the artifacts at or above it: the
-  /// one at stable_.seq is served once it arrives, higher ones wait to
+  /// The newest stability heard of, and the checkpoints at or above it:
+  /// the one at stable_.seq is served once it arrives, higher ones wait to
   /// turn stable.
   MarkStable stable_;
   std::map<protocol::SeqNum, Held> held_;

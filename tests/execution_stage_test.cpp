@@ -380,8 +380,9 @@ TEST_F(ExecutionStageTest, ReplyFrameIsTheSealOfTheExecutedResult) {
 TEST_F(ExecutionStageTest, PostProcessDecoratesFreshRepliesOnly) {
   service_ = std::make_unique<MarkingService>();
   auto artifact = std::make_shared<Bytes>();
-  snapshot_fn_ = [artifact](SeqNum seq, const crypto::Digest&, Bytes a) {
-    if (seq == 10) *artifact = std::move(a);
+  snapshot_fn_ = [artifact](SeqNum seq, const crypto::Digest&,
+                            CheckpointHandOff h) {
+    if (seq == 10) *artifact = h.encode();
   };
   start();
   // Request 7 executes at seq 1; no-ops carry the order to the checkpoint
