@@ -64,6 +64,11 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
 }
 
 void CopReplica::start() {
+  // Pillar p drives lane p's event loop when the transport can hand it
+  // over (paper §4.1: a pillar owns its private connections). Claimed
+  // before any thread starts, so every waker sees the claim.
+  for (auto& pillar : pillars_)
+    pillar->drive(transport_.claim_lane(pillar->index()));
   exec_.start();
   state_->start();
   for (auto& pillar : pillars_) pillar->start();

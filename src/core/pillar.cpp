@@ -19,6 +19,10 @@ std::string metric_prefix(ReplicaId self, std::uint32_t index) {
          ".";
 }
 
+// The heartbeat: the longest wait for an event, and the period of the
+// core's tick and of the stats snapshot.
+constexpr std::uint64_t kHeartbeatUs = 1000;
+
 }  // namespace
 
 Pillar::Pillar(ReplicaId self, std::uint32_t index,
@@ -50,6 +54,11 @@ Pillar::Pillar(ReplicaId self, std::uint32_t index,
                         metric_prefix(self, index) + "queue_blocked_pushes"));
 }
 
+void Pillar::drive(std::shared_ptr<transport::EventLoop> loop) {
+  loop_ = std::move(loop);
+  driven_.store(loop_.get(), std::memory_order_release);
+}
+
 void Pillar::start() {
   thread_ = named_thread("pillar-" + std::to_string(index_),
                          [this] { run(); });
@@ -58,21 +67,24 @@ void Pillar::start() {
 void Pillar::stop() {
   queue_.close();
   commands_.close();
+  wake_loop();
   if (thread_.joinable()) thread_.join();
+  // Back to a lane thread, which keeps serving the lane's other sinks and
+  // lets the transport's shutdown close the connections.
+  if (loop_) loop_->release();
 }
 
 void Pillar::run() {
-  // The heartbeat: the longest wait for an event, and the period of the
-  // core's tick and of the stats snapshot. A wait that times out has
-  // lasted a full period, so it always ticks.
-  constexpr std::uint64_t kHeartbeatUs = 1000;
   // Arms the core's view-change progress timer while it is still idle. A
   // core that has never ticked measures a stall from time zero, so a
   // proposal dequeued before the first tick would start a spurious view
   // change at once.
   std::uint64_t last_tick_us = now_us();
   core_.tick(last_tick_us);
+  if (loop_) drive_loop(last_tick_us);
   while (true) {
+    // A wait that times out has lasted a full heartbeat, so it always
+    // ticks.
     auto event = queue_.pop_for(std::chrono::microseconds(kHeartbeatUs));
     if (!event && queue_.closed()) {
       publish_stats();
@@ -81,27 +93,55 @@ void Pillar::run() {
     // Commands are few but urgent (checkpoint stability slides the
     // window); drain them first.
     while (auto command = commands_.try_pop()) handle_command(*command);
-    if (event) {
-      if (auto* frame = std::get_if<transport::ReceivedFrame>(&*event)) {
-        handle_frame(*frame);
-      } else {
-        handle_prepared(std::get<PreparedInput>(*event));
-      }
-    }
-    const std::uint64_t now = now_us();
-    if (now >= last_tick_us + kHeartbeatUs) {
-      last_tick_us = now;
-      core_.tick(now);
-      publish_stats();
-    }
+    if (event) handle_event(*event);
+    heartbeat(last_tick_us);
     drain_effects();
   }
+}
+
+void Pillar::drive_loop(std::uint64_t& last_tick_us) {
+  // One round reads every ready connection of the lane into queue_, runs
+  // the core over everything queued, and flushes what that sent once
+  // before the next wait. It waits only while nothing is queued, and no
+  // longer than the heartbeat has left.
+  const std::function<void()> work = [this, &last_tick_us] {
+    while (auto command = commands_.try_pop()) handle_command(*command);
+    while (auto event = queue_.try_pop()) {
+      handle_event(*event);
+      drain_effects();
+    }
+    heartbeat(last_tick_us);
+    drain_effects();
+  };
+  while (!queue_.closed()) {
+    const bool idle = queue_.empty() && commands_.empty() &&
+                      now_us() < last_tick_us + kHeartbeatUs;
+    // False once the transport shut the loop down: the queue wait takes
+    // over until stop().
+    if (!loop_->round(idle ? 1 : 0, work)) return;
+  }
+}
+
+void Pillar::heartbeat(std::uint64_t& last_tick_us) {
+  const std::uint64_t now = now_us();
+  if (now < last_tick_us + kHeartbeatUs) return;
+  last_tick_us = now;
+  core_.tick(now);
+  publish_stats();
 }
 
 void Pillar::publish_stats() {
   m_stable_seq_.set(static_cast<std::int64_t>(core_.stable_seq()));
   MutexLock lock(stats_mutex_);
   stats_snapshot_ = core_.stats();
+}
+
+COP_HOT void Pillar::handle_event(PillarEvent& event) {
+  if (auto* frame = std::get_if<transport::ReceivedFrame>(&event)) {
+    handle_frame(*frame);
+  } else {
+    handle_prepared(std::get<PreparedInput>(event));
+  }
 }
 
 COP_HOT void Pillar::handle_frame(transport::ReceivedFrame& frame) {

@@ -2,12 +2,17 @@
 //
 // For COP this is a *pillar* (paper §4.1): it owns a slice of the sequence
 // space, verifies in order and seals in place, and talks to peers over its
-// private lane. The same class, instantiated once with the trivial slice
-// and an AuthPoolOutbound, is the logic stage of the TOP and SMaRt
+// private lane. When the transport hands it that lane's event loop, the
+// pillar thread runs the loop's rounds itself: it reads its connections,
+// runs the core over what arrived and flushes what it sent, with no other
+// thread in between. The same class, instantiated once with the trivial
+// slice and an AuthPoolOutbound, is the logic stage of the TOP and SMaRt
 // pipelines — the paper's "same code base" methodology in code.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <memory>
 
 #include "app/service.hpp"
 #include "common/metrics.hpp"
@@ -17,6 +22,7 @@
 #include "core/execution_stage.hpp"
 #include "core/outbound_sink.hpp"
 #include "protocol/pbft_core.hpp"
+#include "transport/event_loop.hpp"
 
 namespace copbft::core {
 
@@ -37,6 +43,11 @@ class Pillar final : public transport::FrameSink {
          const crypto::CryptoProvider& crypto, ExecutionStage& exec,
          OutboundSink& outbound, app::Service* service, StableFn on_stable);
 
+  /// Before start(): drive `loop` (the lane the transport handed over)
+  /// from the pillar thread, waiting in its rounds instead of on the
+  /// queue, until stop() hands it back. Null keeps the queue wait.
+  void drive(std::shared_ptr<transport::EventLoop> loop);
+
   void start();
   void stop();
 
@@ -50,10 +61,14 @@ class Pillar final : public transport::FrameSink {
   }
   /// Non-blocking admission for the event-loop transport: a full queue is
   /// kBusy (the loop queues or sheds at ingress), never a blocked loop
-  /// thread.
+  /// thread. A frame from another loop's thread (a connection's first
+  /// bytes, read before it moves to this pillar's lane) wakes the round.
   transport::Admit try_deliver(transport::ReceivedFrame& frame) override {
     PillarEvent event{std::move(frame)};
-    if (queue_.try_push_ref(event)) return transport::Admit::kAdmitted;
+    if (queue_.try_push_ref(event)) {
+      wake_loop();
+      return transport::Admit::kAdmitted;
+    }
     frame = std::move(std::get<transport::ReceivedFrame>(event));
     return queue_.closed() ? transport::Admit::kClosed
                            : transport::Admit::kBusy;
@@ -70,6 +85,7 @@ class Pillar final : public transport::FrameSink {
   bool post_command(PillarCommand command) {
     if (!commands_.push(std::move(command))) return false;
     queue_.wake();
+    wake_loop();
     return true;
   }
 
@@ -87,7 +103,15 @@ class Pillar final : public transport::FrameSink {
 
  private:
   void run();
+  void drive_loop(std::uint64_t& last_tick_us);
+  void heartbeat(std::uint64_t& last_tick_us);
+  /// Ends a round's wait when the pillar drives a loop. Free on the
+  /// pillar's own thread inside its round, an eventfd write elsewhere.
+  void wake_loop() {
+    if (auto* loop = driven_.load(std::memory_order_acquire)) loop->wake();
+  }
   void publish_stats();
+  void handle_event(PillarEvent& event);
   void handle_frame(transport::ReceivedFrame& frame);
   void handle_prepared(PreparedInput& input);
   void handle_command(PillarCommand& command);
@@ -105,6 +129,10 @@ class Pillar final : public transport::FrameSink {
 
   BoundedQueue<PillarEvent> queue_;
   BoundedQueue<PillarCommand> commands_{1 << 16};
+  /// The claimed lane, set by drive() before start(). `driven_` mirrors it
+  /// for the transport and command threads that wake the pillar.
+  std::shared_ptr<transport::EventLoop> loop_;
+  std::atomic<transport::EventLoop*> driven_{nullptr};
   protocol::CryptoVerifier verifier_;
   protocol::PbftCore core_;
 

@@ -24,9 +24,26 @@ constexpr std::uint64_t kListenerBackoffUs = 100'000;  // EMFILE cool-down
 constexpr std::size_t kReadChunk = 64 * 1024;
 // Fairness: max bytes drained from one connection per wakeup.
 constexpr std::size_t kMaxReadPerWake = 256 * 1024;
-// Idle epoll timeout (the loop polls at 1 ms while retries/parked frames
-// are pending).
+// Idle epoll timeout of the lane thread (every round polls at 1 ms while
+// retries/parked frames are pending).
 constexpr int kEpollWaitMs = 100;
+constexpr int kMaxEvents = 256;
+
+// The loop whose round the current thread is running, if any.
+thread_local EventLoop* t_round_loop = nullptr;
+
+class RoundScope {
+ public:
+  explicit RoundScope(EventLoop* loop) : saved_(t_round_loop) {
+    t_round_loop = loop;
+  }
+  ~RoundScope() { t_round_loop = saved_; }
+  RoundScope(const RoundScope&) = delete;
+  RoundScope& operator=(const RoundScope&) = delete;
+
+ private:
+  EventLoop* const saved_;
+};
 
 }  // namespace
 
@@ -203,15 +220,31 @@ EventLoop::EventLoop(std::string name, std::string metric_prefix,
     : name_(std::move(name)),
       opts_(opts),
       hooks_(std::move(hooks)),
+      // Opened here, before any loop of the transport runs: another loop's
+      // thread may hand this one a connection (and wake it) before this
+      // loop's start().
+      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+      events_(kMaxEvents),
       scratch_(kReadChunk),
       m_wakeups_(metrics::MetricsRegistry::global().counter(metric_prefix +
                                                             "wakeups")),
+      m_recv_calls_(metrics::MetricsRegistry::global().counter(
+          metric_prefix + "recv_calls")),
       m_writev_calls_(metrics::MetricsRegistry::global().counter(
           metric_prefix + "writev_calls")),
+      m_wake_writes_(metrics::MetricsRegistry::global().counter(
+          metric_prefix + "wake_writes")),
       m_protocol_errors_(metrics::MetricsRegistry::global().counter(
           metric_prefix + "protocol_errors")),
       m_rx_batch_frames_(metrics::MetricsRegistry::global().histogram(
-          metric_prefix + "rx_batch_frames")) {}
+          metric_prefix + "rx_batch_frames")) {
+  if (epoll_fd_ < 0 || wake_fd_ < 0) return;  // start() reports it
+  struct epoll_event ev {};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+}
 
 EventLoop::~EventLoop() {
   request_stop();
@@ -222,22 +255,14 @@ EventLoop::~EventLoop() {
 }
 
 bool EventLoop::start() {
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return false;
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    return false;
-  }
-  struct epoll_event ev {};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  if (epoll_fd_ < 0 || wake_fd_ < 0) return false;
   if (listen_fd_ >= 0) {
+    struct epoll_event ev {};
+    ev.events = EPOLLIN;
     ev.data.fd = listen_fd_;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   }
+  MutexLock thread_lock(thread_mutex_);
   thread_ = named_thread(name_, [this] { run(); });
   return true;
 }
@@ -251,11 +276,53 @@ void EventLoop::request_stop() {
 }
 
 void EventLoop::join() {
+  {
+    // A claimant's next round sees stopping_, closes every connection and
+    // stops driving; a released loop is back on a lane thread.
+    CvLock lock(mutex_);
+    while (driven_) driven_cv_.wait(lock);
+  }
+  MutexLock thread_lock(thread_mutex_);
   if (thread_.joinable()) thread_.join();
 }
 
+bool EventLoop::claim() {
+  MutexLock thread_lock(thread_mutex_);
+  {
+    MutexLock lock(mutex_);
+    if (stopping_ || driven_ || !thread_.joinable()) return false;
+    driven_ = true;
+    hand_off_ = true;
+  }
+  wake();
+  // The lane thread's next round sees hand_off_ and returns without
+  // closing anything (or, if a stop raced the claim, after closing
+  // everything; the claimant's first round then reports the loop closed).
+  thread_.join();
+  MutexLock lock(mutex_);
+  hand_off_ = false;
+  return true;
+}
+
+void EventLoop::release() {
+  MutexLock thread_lock(thread_mutex_);
+  {
+    MutexLock lock(mutex_);
+    if (!driven_) return;
+  }
+  // Back on a lane thread: it keeps serving the connections, or, when the
+  // loop is stopping, flushes and closes them in its first round.
+  thread_ = named_thread(name_, [this] { run(); });
+  {
+    MutexLock lock(mutex_);
+    driven_ = false;
+  }
+  driven_cv_.notify_all();
+}
+
 void EventLoop::wake() {
-  if (wake_fd_ < 0) return;
+  if (wake_fd_ < 0 || t_round_loop == this) return;
+  m_wake_writes_.add();
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
@@ -278,6 +345,12 @@ void EventLoop::adopt(std::shared_ptr<Conn> conn) {
 }
 
 void EventLoop::schedule_flush(std::shared_ptr<Conn> conn) {
+  if (t_round_loop == this) {
+    // Sent from inside this loop's round (its claimant's work, or a sink
+    // answering on the lane thread): the round flushes before it waits.
+    round_dirty_.push_back(std::move(conn));
+    return;
+  }
   bool was_empty;
   {
     MutexLock lock(mutex_);
@@ -301,44 +374,76 @@ void EventLoop::request_close(std::shared_ptr<Conn> conn) {
 }
 
 void EventLoop::run() {
-  std::vector<struct epoll_event> events(256);
-  for (;;) {
-    bool stopping = false;
-    drain_control(stopping);
-    if (stopping) break;
-    const int timeout = want_fast_poll() ? 1 : kEpollWaitMs;
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      COP_LOG_WARN("%s: epoll_wait failed: %s", name_.c_str(),
-                   std::strerror(errno));
-      break;
-    }
-    m_wakeups_.add();
-    const std::uint64_t now = now_us();
-    for (int i = 0; i < n; ++i) dispatch(events[i], now);
-    pump_retries(now);
-    pump_paused();
-    if (listener_paused_until_us_ != 0 && now >= listener_paused_until_us_ &&
-        listen_fd_ >= 0) {
-      struct epoll_event ev {};
-      ev.events = EPOLLIN;
-      ev.data.fd = listen_fd_;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
-      listener_paused_until_us_ = 0;
-    }
+  while (round(kEpollWaitMs, nullptr)) {
   }
+}
 
-  // Shutdown: adopt any last-moment connections so their fds are closed,
-  // give every queue one best-effort non-blocking flush (quick
-  // send-then-stop callers lose nothing the kernel would take), close all.
+bool EventLoop::round(int timeout_ms, const std::function<void()>& work) {
+  RoundScope scope(this);
+  switch (drain_control()) {
+    case Control::kRun:
+      break;
+    case Control::kStop:
+      close_all();
+      return false;
+    case Control::kHandOff:
+      return false;
+  }
+  if (want_fast_poll()) timeout_ms = std::min(timeout_ms, 1);
+  const int n = ::epoll_wait(epoll_fd_, events_.data(),
+                             static_cast<int>(events_.size()), timeout_ms);
+  if (n < 0 && errno != EINTR) {
+    COP_LOG_WARN("%s: epoll_wait failed: %s", name_.c_str(),
+                 std::strerror(errno));
+    close_all();
+    return false;
+  }
+  m_wakeups_.add();
+  const std::uint64_t now = now_us();
+  for (int i = 0; i < n; ++i) dispatch(events_[i], now);
+  if (work) work();
+  // The claimant has drained what this round delivered; frames its sinks
+  // refused get their next try now rather than after another wait.
+  pump_retries(now_us());
+  pump_paused();
+  if (listener_paused_until_us_ != 0 && now >= listener_paused_until_us_ &&
+      listen_fd_ >= 0) {
+    struct epoll_event ev {};
+    ev.events = EPOLLIN;
+    ev.data.fd = listen_fd_;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+    listener_paused_until_us_ = 0;
+  }
+  flush_round();
+  return true;
+}
+
+COP_HOT void EventLoop::flush_round() {
+  // Indexed: a flush that closes its conn may not append, but stay safe.
+  for (std::size_t i = 0; i < round_dirty_.size(); ++i) {
+    std::shared_ptr<Conn> conn = std::move(round_dirty_[i]);
+    EventLoop* owner = conn->owner();
+    if (owner != this) {
+      if (owner) owner->schedule_flush(std::move(conn));
+      continue;
+    }
+    if (conn->fd() >= 0) flush_conn(conn);
+  }
+  round_dirty_.clear();
+}
+
+void EventLoop::close_all() {
+  // Adopt any last-moment connections so their fds are closed, give every
+  // queue one best-effort non-blocking flush (quick send-then-stop callers
+  // lose nothing the kernel would take), close all.
   {
     MutexLock lock(mutex_);
     for (auto& conn : inbox_) conns_.emplace(conn->fd(), conn);
     inbox_.clear();
     dirty_.clear();
+    closing_.clear();
   }
+  round_dirty_.clear();
   std::vector<std::shared_ptr<Conn>> all;
   all.reserve(conns_.size());
   for (auto& [fd, conn] : conns_) all.push_back(conn);
@@ -347,29 +452,31 @@ void EventLoop::run() {
     close_conn(conn);
   }
   retry_.clear();
+  retry_depth_ = 0;
   paused_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  {
+    MutexLock lock(mutex_);
+    driven_ = false;  // a claimant stops driving a closed loop
+  }
+  driven_cv_.notify_all();
 }
 
-void EventLoop::drain_control(bool& stopping) {
+EventLoop::Control EventLoop::drain_control() {
   std::vector<std::shared_ptr<Conn>> adopted;
   std::vector<std::shared_ptr<Conn>> dirty;
   std::vector<std::shared_ptr<Conn>> closing;
   {
     MutexLock lock(mutex_);
-    stopping = stopping_;
+    // Checked first: a stop that races a claim closes the connections.
+    if (stopping_) return Control::kStop;
+    if (hand_off_) return Control::kHandOff;
     adopted.swap(inbox_);
     dirty.swap(dirty_);
     closing.swap(closing_);
-  }
-  if (stopping) {
-    // Hand the adoptions back so the shutdown path closes them.
-    MutexLock lock(mutex_);
-    for (auto& conn : adopted) inbox_.push_back(std::move(conn));
-    return;
   }
   for (auto& conn : adopted) register_conn(conn);
   for (auto& conn : closing) {
@@ -389,6 +496,7 @@ void EventLoop::drain_control(bool& stopping) {
     }
     if (conn->fd() >= 0) flush_conn(conn);
   }
+  return Control::kRun;
 }
 
 void EventLoop::register_conn(const std::shared_ptr<Conn>& conn) {
@@ -470,6 +578,7 @@ COP_HOT void EventLoop::handle_readable(const std::shared_ptr<Conn>& conn,
          conn->migrate_target_ == nullptr) {
     const std::size_t want = std::min(scratch_.size(), budget);
     const ssize_t n = ::recv(conn->fd_, scratch_.data(), want, 0);
+    m_recv_calls_.add();
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n <= 0) {

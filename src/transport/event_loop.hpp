@@ -1,8 +1,10 @@
 // Epoll event-loop engine for the TCP transport (production ingress).
 //
-// One EventLoop is one lane thread: a level-triggered epoll multiplexing
-// every connection assigned to the lane — tens of thousands of client
-// sockets map onto NP lane threads instead of one thread each. Reads are
+// One EventLoop is one lane: a level-triggered epoll multiplexing every
+// connection assigned to it — tens of thousands of client sockets map onto
+// NP lanes instead of one thread each. A lane runs on its own lane thread
+// until a claimant takes it over (claim()) and drives its rounds from its
+// own thread, as a COP pillar does with its private connections. Reads are
 // batched (one wakeup drains a socket and decodes every complete frame in
 // the buffer), writes go through per-connection outbound queues flushed
 // with writev so back-to-back replies coalesce into one syscall, and
@@ -290,7 +292,7 @@ struct EventLoopHooks {
   std::function<void(const std::shared_ptr<Conn>&)> on_close;
 };
 
-/// One epoll lane thread. See file comment for the model.
+/// One epoll lane. See file comment for the model.
 class EventLoop {
  public:
   EventLoop(std::string name, std::string metric_prefix, EventLoopOptions opts,
@@ -304,28 +306,60 @@ class EventLoop {
   /// loop. Call before start(); the loop closes it on exit.
   void set_listener(int fd) { listen_fd_ = fd; }
 
+  /// Registers the listener and starts the lane thread. False if the
+  /// constructor could not open the epoll set or the eventfd.
   bool start();
   void request_stop();
+  /// Returns once the loop has flushed and closed its connections after
+  /// request_stop(): joins the lane thread, or waits for the claimant's
+  /// next round to close them.
   void join();
+
+  /// Takes a running loop over from its lane thread, which exits without
+  /// closing anything. The caller then drives the loop with round() from
+  /// one thread until release(). False when the loop is stopping, was
+  /// never started, or another claimant already holds it.
+  bool claim();
+  /// Hands a claimed loop back after the claimant's last round(): a new
+  /// lane thread drives it, and closes its connections if the loop is
+  /// stopping. A no-op once a round has closed the loop.
+  void release();
+
+  /// One round on the claimant's (or the lane) thread: applies adoptions,
+  /// closes and flush requests from other threads, waits up to
+  /// `timeout_ms` for I/O, reads every ready connection into its sink,
+  /// runs `work`, retries frames their sink refused, then flushes every
+  /// connection written to from this thread during the round. Returns
+  /// false once the loop has stopped and closed its connections (or,
+  /// on the lane thread, was claimed); the caller stops driving it.
+  bool round(int timeout_ms, const std::function<void()>& work);
 
   /// Hands a connection to this loop (thread-safe). The caller must have
   /// set_owner(this) before publishing the conn to any sender.
   void adopt(std::shared_ptr<Conn> conn);
 
   /// Asks the loop to flush `conn`'s outbound queue soon (thread-safe).
+  /// From inside one of the loop's own rounds it only notes the conn: the
+  /// round flushes it before it waits again, so no eventfd is written.
   void schedule_flush(std::shared_ptr<Conn> conn);
 
   /// Asks the loop to close `conn` (thread-safe; the close itself runs on
   /// the loop thread so epoll bookkeeping stays single-threaded).
   void request_close(std::shared_ptr<Conn> conn);
 
+  /// Ends the loop's current wait. Writes the eventfd unless called from
+  /// inside one of the loop's own rounds, which looks at its control
+  /// requests and its claimant's work before it waits again.
   void wake();
 
  private:
   struct PendingFrame;
+  enum class Control : std::uint8_t { kRun, kStop, kHandOff };
 
   void run();
-  void drain_control(bool& stopping);
+  Control drain_control();
+  void close_all();
+  COP_HOT void flush_round();
   void dispatch(const struct epoll_event& ev, std::uint64_t now);
   void accept_batch();
   COP_HOT void handle_readable(const std::shared_ptr<Conn>& conn,
@@ -353,18 +387,24 @@ class EventLoop {
   const EventLoopOptions opts_;
   const EventLoopHooks hooks_;
 
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
+  const int epoll_fd_;
+  const int wake_fd_;
   int listen_fd_ = -1;
   std::uint64_t listener_paused_until_us_ = 0;  ///< EMFILE backoff
 
   Mutex mutex_;
+  Cv driven_cv_;  ///< signalled when driven_ falls
   bool stopping_ COP_GUARDED_BY(mutex_) = false;
+  bool driven_ COP_GUARDED_BY(mutex_) = false;   ///< a claimant holds it
+  bool hand_off_ COP_GUARDED_BY(mutex_) = false; ///< lane thread must exit
   std::vector<std::shared_ptr<Conn>> inbox_ COP_GUARDED_BY(mutex_);
   std::vector<std::shared_ptr<Conn>> dirty_ COP_GUARDED_BY(mutex_);
   std::vector<std::shared_ptr<Conn>> closing_ COP_GUARDED_BY(mutex_);
 
-  // ---- loop-thread-only state ----
+  // ---- loop-thread-only state (whichever thread runs the rounds) ----
+  std::vector<struct epoll_event> events_;
+  /// Conns scheduled for flushing from inside the current round.
+  std::vector<std::shared_ptr<Conn>> round_dirty_;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
   struct PendingFrame {
     std::shared_ptr<Conn> conn;
@@ -378,14 +418,20 @@ class EventLoop {
   std::vector<Bytes> frames_;        ///< decode output scratch
   std::size_t retry_depth_ = 0;      ///< total frames across retry_
 
-  // Observability: epoll wakeups, frames decoded per readable event,
-  // writev syscalls, and decode-protocol violations, per lane thread.
+  // Observability: epoll wakeups, recv and writev syscalls, eventfd
+  // writes, frames decoded per readable event, and decode-protocol
+  // violations, per loop.
   metrics::Counter& m_wakeups_;
+  metrics::Counter& m_recv_calls_;
   metrics::Counter& m_writev_calls_;
+  metrics::Counter& m_wake_writes_;
   metrics::Counter& m_protocol_errors_;
   metrics::HistogramMetric& m_rx_batch_frames_;
 
-  std::jthread thread_;
+  /// Serializes starting and joining the lane thread (claim, release and
+  /// join may run on different threads).
+  Mutex thread_mutex_;
+  std::jthread thread_ COP_GUARDED_BY(thread_mutex_);
 };
 
 /// Queues `frame` on `conn` and wakes the owning loop. Returns false when

@@ -1,7 +1,6 @@
 #include "transport/tcp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -18,6 +17,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
+#include "common/time.hpp"
 
 namespace copbft::transport {
 namespace {
@@ -26,6 +26,13 @@ namespace {
 // egress side of admission control — a slow peer sheds, never blocks).
 constexpr std::size_t kConnOutFrames = 1 << 16;
 constexpr std::size_t kConnOutBytes = 128u << 20;
+// Dials run on the sending thread, which may be a pillar driving its lane.
+// After a failed dial, sends over that (from, to, lane) fail at once for
+// this long, and then one sender re-dials with a single attempt.
+constexpr std::uint64_t kDeadPeerBackoffUs = 200'000;
+// Bound on one connect(): a silent host would otherwise hold the sender
+// for the kernel's SYN retries (minutes).
+constexpr int kConnectTimeoutMs = 200;
 
 // Hello header sent once per outgoing connection: sender node id + lane.
 struct Hello {
@@ -37,11 +44,6 @@ std::string lane_metric(crypto::KeyNodeId self, LaneId lane,
                         const char* name) {
   return "tcp.node" + std::to_string(self) + ".lane" + std::to_string(lane) +
          "." + name;
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 }  // namespace
@@ -189,7 +191,7 @@ bool TcpTransport::start() {
   };
   const std::uint32_t nloops = std::max(1u, options_.lane_threads);
   for (std::uint32_t i = 0; i < nloops; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>(
+    loops_.push_back(std::make_shared<EventLoop>(
         "tcp-lane" + std::to_string(i),
         "tcp.node" + std::to_string(self_) + ".loop" + std::to_string(i) + ".",
         options_.loop, hooks));
@@ -229,11 +231,18 @@ void TcpTransport::register_sink(LaneId lane, std::shared_ptr<FrameSink> sink) {
   sinks_[lane] = std::move(sink);
 }
 
+std::shared_ptr<EventLoop> TcpTransport::claim_lane(LaneId lane) {
+  if (loops_.empty()) return nullptr;  // start() was never called
+  const std::shared_ptr<EventLoop>& loop = loops_[lane % loops_.size()];
+  return loop->claim() ? loop : nullptr;
+}
+
 // connect_to / connect_with_retry run on the *sending* thread, not a loop
 // thread: the bounded retry schedule may sleep for hundreds of
-// milliseconds, which is exactly what the event loops must never do.
+// milliseconds, which is exactly what the event loops must never do. The
+// socket comes back non-blocking, ready for the loop machinery.
 int TcpTransport::connect_to(const TcpPeer& peer) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -245,24 +254,30 @@ int TcpTransport::connect_to(const TcpPeer& peer) {
     return -1;
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    // A signal during connect() does NOT abort the handshake: it proceeds
-    // asynchronously (POSIX). Wait for completion and read the outcome
-    // from SO_ERROR instead of treating the peer as unreachable.
-    bool recovered = false;
+    // EINPROGRESS (or a signal, which does not abort the handshake either):
+    // wait for completion up to kConnectTimeoutMs and read the outcome
+    // from SO_ERROR.
     int saved = errno;
-    if (errno == EINTR) {
+    if (errno == EINPROGRESS || errno == EINTR) {
+      const auto deadline = std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(kConnectTimeoutMs);
       pollfd pfd{fd, POLLOUT, 0};
       int rc;
-      while ((rc = ::poll(&pfd, 1, /*ms=*/10'000)) < 0 && errno == EINTR) {
+      for (;;) {
+        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        rc = ::poll(&pfd, 1, static_cast<int>(std::max<std::int64_t>(
+                                 0, left.count())));
+        if (rc >= 0 || errno != EINTR) break;
       }
-      int err = 0;
+      int err = rc == 0 ? ETIMEDOUT : errno;
       socklen_t err_len = sizeof err;
-      recovered = rc > 0 &&
-                  ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) == 0 &&
-                  err == 0;
-      if (!recovered && rc > 0 && err != 0) saved = err;
+      if (rc > 0 &&
+          ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0)
+        err = errno;
+      saved = err;
     }
-    if (!recovered) {
+    if (saved != 0) {
       // close() may clobber errno; callers (connect_with_retry) dispatch on
       // the *connect* failure, so carry it across.
       ::close(fd);
@@ -275,19 +290,19 @@ int TcpTransport::connect_to(const TcpPeer& peer) {
   return fd;
 }
 
-int TcpTransport::connect_with_retry(const TcpPeer& peer) {
+int TcpTransport::connect_with_retry(const TcpPeer& peer, int attempts) {
   // ECONNREFUSED during startup is routine — replicas boot in arbitrary
   // order, so the first sender usually races the peer's listen(). Retry a
   // bounded number of times with exponential backoff; ±25% jitter keeps a
   // whole cluster restarting at once from hammering the late peer in
-  // lockstep. Other errnos (unreachable host, bad address) fail fast.
+  // lockstep. Other errnos (unreachable host, timeout) fail fast.
   Rng jitter(0x7c9ULL * self_ ^ (static_cast<std::uint64_t>(peer.port) << 32) ^
              reinterpret_cast<std::uintptr_t>(&peer));
   std::uint32_t delay_ms = connect_base_delay_ms_;
   for (int attempt = 1;; ++attempt) {
     int fd = connect_to(peer);
     if (fd >= 0) return fd;
-    if (errno != ECONNREFUSED || attempt >= connect_attempts_) return -1;
+    if (errno != ECONNREFUSED || attempt >= attempts) return -1;
     {
       MutexLock lock(mutex_);
       if (stopping_) return -1;
@@ -357,9 +372,14 @@ void TcpTransport::on_conn_closed(const std::shared_ptr<Conn>& conn) {
     if (it != accepted_routes_.end() && it->second == conn)
       accepted_routes_.erase(it);
   } else {
-    auto it = outgoing_.find(
-        DialKey{conn->local_from(), conn->peer(), conn->lane()});
-    if (it != outgoing_.end() && it->second == conn) outgoing_.erase(it);
+    const DialKey key{conn->local_from(), conn->peer(), conn->lane()};
+    auto it = outgoing_.find(key);
+    if (it != outgoing_.end() && it->second == conn) {
+      outgoing_.erase(it);
+      // The peer was up: its next dial is a single attempt, so a crashed
+      // peer costs the sender one refused connect, not a retry schedule.
+      if (!stopping_) redial_at_.emplace(key, 0);
+    }
   }
 }
 
@@ -370,6 +390,8 @@ bool TcpTransport::send(crypto::KeyNodeId to, LaneId lane, Bytes frame) {
 bool TcpTransport::send_from(crypto::KeyNodeId from, crypto::KeyNodeId to,
                              LaneId lane, Bytes frame) {
   std::shared_ptr<Conn> conn;
+  bool redial = false;
+  bool backing_off = false;
   {
     MutexLock lock(mutex_);
     if (stopping_) return false;
@@ -382,22 +404,48 @@ bool TcpTransport::send_from(crypto::KeyNodeId from, crypto::KeyNodeId to,
       auto it = outgoing_.find(DialKey{from, to, lane});
       if (it != outgoing_.end()) conn = it->second;
     }
+    if (!conn) {
+      auto it = redial_at_.find(DialKey{from, to, lane});
+      if (it != redial_at_.end()) {
+        const std::uint64_t now = now_us();
+        if (now < it->second) {
+          backing_off = true;
+        } else {
+          // This sender re-dials; the others keep failing fast meanwhile.
+          it->second = now + kDeadPeerBackoffUs;
+          redial = true;
+        }
+      }
+    }
   }
-  if (!conn) conn = dial(from, to, lane);
+  if (backing_off) {
+    metrics::MetricsRegistry::global()
+        .counter(lane_metric(self_, lane, "dead_peer_drops"))
+        .add();
+    return false;
+  }
+  if (!conn) conn = dial(from, to, lane, redial);
   if (!conn) return false;
   return submit_frame(conn, std::move(frame));
 }
 
 std::shared_ptr<Conn> TcpTransport::dial(crypto::KeyNodeId from,
-                                         crypto::KeyNodeId to, LaneId lane) {
+                                         crypto::KeyNodeId to, LaneId lane,
+                                         bool redial) {
   auto peer = peers_.find(to);  // peers_ is immutable after construction
   if (peer == peers_.end()) return nullptr;
   if (loops_.empty()) return nullptr;  // start() was never called
   // Connect outside mutex_: the retry schedule can block for hundreds of
   // milliseconds, and holding the lock would freeze every other lane's
-  // sends (plus sink registration and shutdown) meanwhile.
-  int fd = connect_with_retry(peer->second);
-  if (fd < 0) return nullptr;
+  // sends (plus sink registration and shutdown) meanwhile. The first dial
+  // rides the schedule to bridge a late listener; a re-dial tries once.
+  int fd = connect_with_retry(peer->second, redial ? 1 : connect_attempts_);
+  if (fd < 0) {
+    MutexLock lock(mutex_);
+    if (!stopping_)
+      redial_at_[DialKey{from, to, lane}] = now_us() + kDeadPeerBackoffUs;
+    return nullptr;
+  }
   const bool to_client = to >= kClientNodeFloor;
   // Construct the RAII owner immediately: every failure path below — a
   // hello write error, a raced shutdown, a lost publication race — drops
@@ -409,11 +457,10 @@ std::shared_ptr<Conn> TcpTransport::dial(crypto::KeyNodeId from,
   conn->set_local_from(from);
   conn->set_sheddable(false);  // inbound here is replica traffic: lossless
   Hello hello{from, lane};
-  // The hello goes out on the still-blocking socket (bounded 8-byte
-  // write); only then does the fd join the non-blocking loop machinery.
+  // The hello is the first write on a fresh connection: its 8 bytes always
+  // fit the empty send buffer of the non-blocking socket.
   if (!write_all_fd(fd, reinterpret_cast<const Byte*>(&hello), sizeof hello))
     return nullptr;
-  if (!set_nonblocking(fd)) return nullptr;
   conn->set_sink(sink_for_conn(conn));  // may be null: resolved lazily
   bind_conn_metrics(conn, lane);
   conn->set_owner(loop_for(lane));
@@ -421,6 +468,7 @@ std::shared_ptr<Conn> TcpTransport::dial(crypto::KeyNodeId from,
   {
     MutexLock lock(mutex_);
     if (stopping_) return nullptr;
+    redial_at_.erase(DialKey{from, to, lane});
     auto& slot = outgoing_[DialKey{from, to, lane}];
     if (slot) {
       // Another sender dialed this (from, to, lane) while we were outside
@@ -487,6 +535,7 @@ void TcpTransport::shutdown() {
     outgoing_.clear();
     accepted_routes_.clear();
     endpoints_.clear();
+    redial_at_.clear();
   }
   for (auto& endpoint : endpoints) endpoint->close_sink();
 }

@@ -16,6 +16,7 @@
 
 namespace copbft::transport {
 
+class EventLoop;
 using LaneId = std::uint32_t;
 
 struct ReceivedFrame {
@@ -83,6 +84,14 @@ class Transport {
 
   /// Stops background activity and closes registered sinks.
   virtual void shutdown() = 0;
+
+  /// Hands the event loop that serves `lane` to a caller that drives it
+  /// from its own thread (EventLoop::round) until EventLoop::release().
+  /// Null means there is no loop to drive: the transport has none, or
+  /// another caller already drives the one that serves `lane`.
+  virtual std::shared_ptr<EventLoop> claim_lane(LaneId /*lane*/) {
+    return nullptr;
+  }
 };
 
 }  // namespace copbft::transport

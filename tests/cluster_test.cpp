@@ -14,24 +14,6 @@ namespace {
 
 using core::CopReplica;
 
-// Quorum progress only needs 2f+1 replicas, so the fourth may legally lag
-// behind the client's view of completion — especially on one core. Poll
-// until every replica satisfies `done` before reading its counters.
-template <typename Pred>
-bool wait_for_all_replicas(Cluster& cluster, Pred done,
-                           std::chrono::seconds budget =
-                               std::chrono::seconds(20)) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (true) {
-    bool all = true;
-    for (protocol::ReplicaId r = 0; r < 4; ++r)
-      all = all && done(cluster.replica(r).stats());
-    if (all) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
-
 // ---- basic request/reply across architectures ---------------------------
 
 class ArchEcho : public ::testing::TestWithParam<Arch> {};

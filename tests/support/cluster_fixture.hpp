@@ -1,10 +1,15 @@
-// In-process cluster fixture: four threaded replicas of a chosen
-// architecture over the in-process transport, with real SHA-256/HMAC
-// cryptography and real clients — the full runtime stack.
+// Cluster fixture: four threaded replicas of a chosen architecture, with
+// real SHA-256/HMAC cryptography and real clients — the full runtime
+// stack — over the in-process transport or over loopback TCP.
 #pragma once
 
+#include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "app/null_service.hpp"
@@ -13,10 +18,16 @@
 #include "core/smart_replica.hpp"
 #include "core/top_replica.hpp"
 #include "transport/inproc.hpp"
+#include "transport/tcp.hpp"
 
 namespace copbft::test {
 
 enum class Arch { kCop, kTop, kSmart };
+
+/// kTcp: each replica gets its own loopback TcpTransport (default lane
+/// threads) listening on `base_port + r`; the clients share one more as
+/// multiplexed endpoints.
+enum class Net { kInproc, kTcp };
 
 struct ClusterOptions {
   Arch arch = Arch::kCop;
@@ -25,6 +36,10 @@ struct ClusterOptions {
   /// Builds the replicated service for one replica.
   std::function<std::unique_ptr<app::Service>(const crypto::CryptoProvider&)>
       make_service;
+  Net net = Net::kInproc;
+  /// kTcp only; keep it below 32768 (the kernel's ephemeral range) and
+  /// clear of every other test's ports.
+  std::uint16_t base_port = 0;
 
   ClusterOptions() {
     runtime.protocol.checkpoint_interval = 50;
@@ -58,8 +73,26 @@ class Cluster {
         break;
     }
 
+    std::map<crypto::KeyNodeId, transport::TcpPeer> peers;
+    for (protocol::ReplicaId r = 0; r < runtime.protocol.num_replicas; ++r)
+      peers[protocol::replica_node(r)] = {
+          "127.0.0.1", static_cast<std::uint16_t>(options_.base_port + r)};
+    if (tcp()) {
+      client_mux_ = std::make_unique<transport::TcpTransport>(
+          kClientMuxNode, /*listen_port=*/0, peers);
+      if (!client_mux_->start())
+        throw std::runtime_error("client transport failed to start");
+    }
+
     for (protocol::ReplicaId r = 0; r < runtime.protocol.num_replicas; ++r) {
-      auto& endpoint = network_.endpoint(protocol::replica_node(r));
+      transport::Transport* net = &network_.endpoint(protocol::replica_node(r));
+      if (tcp()) {
+        sockets_.push_back(std::make_unique<transport::TcpTransport>(
+            protocol::replica_node(r), peers[protocol::replica_node(r)].port,
+            peers));
+        net = sockets_.back().get();
+      }
+      auto& endpoint = *net;
       auto service = options_.make_service(*crypto_);
       switch (options_.arch) {
         case Arch::kCop:
@@ -81,16 +114,38 @@ class Cluster {
   ~Cluster() { stop(); }
 
   void start() {
-    for (auto& replica : replicas_) replica->start();
+    for (protocol::ReplicaId r = 0; r < replicas_.size(); ++r)
+      start_replica(r);
   }
 
+  /// Starts one replica; over TCP its transport starts listening first.
+  void start_replica(protocol::ReplicaId r) {
+    if (tcp() && !sockets_[r]->start())
+      throw std::runtime_error("replica " + std::to_string(r) +
+                               " cannot listen on its port");
+    replicas_[r]->start();
+  }
+
+  /// Stops clients, then replicas, then (over TCP) the transports.
   void stop() {
     for (auto& client : clients_) client->stop();
     for (auto& replica : replicas_) replica->stop();
+    shutdown_transports();
   }
 
-  /// Crash-stops one replica (fault injection).
-  void crash(protocol::ReplicaId r) { replicas_[r]->stop(); }
+  /// Over TCP, shuts every transport down (the clients' too) whether or
+  /// not the replicas still run; a no-op in-process.
+  void shutdown_transports() {
+    if (client_mux_) client_mux_->shutdown();
+    for (auto& socket : sockets_) socket->shutdown();
+  }
+
+  /// Crash-stops one replica (fault injection). Over TCP its sockets close
+  /// too, as a crashed process's would.
+  void crash(protocol::ReplicaId r) {
+    replicas_[r]->stop();
+    if (tcp()) sockets_[r]->shutdown();
+  }
 
   client::Client& add_client(std::uint32_t offset = 0,
                              std::uint32_t window = 16) {
@@ -101,9 +156,15 @@ class Cluster {
     cfg.num_pillars = options_.runtime.num_pillars;
     cfg.window = window;
     cfg.retransmit_timeout_us = 400'000;
-    auto& endpoint = network_.endpoint(protocol::client_node(cfg.id));
+    transport::Transport* endpoint =
+        &network_.endpoint(protocol::client_node(cfg.id));
+    if (tcp()) {
+      client_endpoints_.push_back(
+          client_mux_->client_endpoint(protocol::client_node(cfg.id)));
+      endpoint = client_endpoints_.back().get();
+    }
     clients_.push_back(
-        std::make_unique<client::Client>(cfg, *crypto_, endpoint));
+        std::make_unique<client::Client>(cfg, *crypto_, *endpoint));
     clients_.back()->start();
     return *clients_.back();
   }
@@ -119,16 +180,48 @@ class Cluster {
 
   core::Replica& replica(protocol::ReplicaId r) { return *replicas_[r]; }
   transport::InprocNetwork& network() { return network_; }
+  /// Replica r's TCP transport (kTcp only).
+  transport::TcpTransport& socket(protocol::ReplicaId r) {
+    return *sockets_[r];
+  }
   const crypto::CryptoProvider& crypto() const { return *crypto_; }
   const ClusterOptions& options() const { return options_; }
 
  private:
+  /// Node id of the clients' shared TCP transport; never dials as itself.
+  static constexpr crypto::KeyNodeId kClientMuxNode = 2'000'000;
+
+  bool tcp() const { return options_.net == Net::kTcp; }
+
   ClusterOptions options_;
   std::unique_ptr<crypto::CryptoProvider> crypto_;
   transport::InprocNetwork network_;
+  // Declared before the replicas and clients that send through them, so
+  // they are destroyed after them.
+  std::vector<std::unique_ptr<transport::TcpTransport>> sockets_;
+  std::unique_ptr<transport::TcpTransport> client_mux_;
+  std::vector<std::shared_ptr<transport::Transport>> client_endpoints_;
   std::vector<std::unique_ptr<core::Replica>> replicas_;
   std::vector<std::unique_ptr<client::Client>> clients_;
   std::uint32_t next_client_ = 0;
 };
+
+// Quorum progress only needs 2f+1 replicas, so the fourth may legally lag
+// behind the client's view of completion — especially on one core. Poll
+// until every replica satisfies `done` before reading its counters.
+template <typename Pred>
+bool wait_for_all_replicas(Cluster& cluster, Pred done,
+                           std::chrono::seconds budget =
+                               std::chrono::seconds(20)) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (true) {
+    bool all = true;
+    for (protocol::ReplicaId r = 0; r < 4; ++r)
+      all = all && done(cluster.replica(r).stats());
+    if (all) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
 
 }  // namespace copbft::test
