@@ -82,15 +82,6 @@ class Histogram {
     return group * kSubBuckets + sub;
   }
 
-  /// Lowest value mapping to bucket `index`.
-  static std::uint64_t bucket_value(std::size_t index) {
-    std::size_t group = index / kSubBuckets;
-    std::size_t sub = index % kSubBuckets;
-    if (group == 0) return sub;
-    int shift = static_cast<int>(group) - 1;
-    return (kSubBuckets + sub) << shift;
-  }
-
   /// Highest value mapping to bucket `index`.
   static std::uint64_t bucket_upper(std::size_t index) {
     std::size_t group = index / kSubBuckets;

@@ -29,7 +29,6 @@ class COP_CAPABILITY("mutex") Mutex {
 
   void lock() COP_ACQUIRE() { mutex_.lock(); }
   void unlock() COP_RELEASE() { mutex_.unlock(); }
-  bool try_lock() COP_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
   /// The underlying mutex, for interop that the analysis cannot follow.
   std::mutex& native() { return mutex_; }

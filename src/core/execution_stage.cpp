@@ -105,7 +105,9 @@ ExecutionStats ExecutionStage::stats() const {
   out.batches_executed = n_batches_executed_.get();
   out.noops_executed = n_noops_executed_.get();
   out.duplicates_suppressed = n_duplicates_suppressed_.get();
+  out.duplicates_unanswered = n_duplicates_unanswered_.get();
   out.replies_sent = n_replies_sent_.get();
+  out.replies_unsent = n_replies_unsent_.get();
   out.replies_omitted = n_replies_omitted_.get();
   out.checkpoints_triggered = n_checkpoints_triggered_.get();
   out.gap_fills_requested = n_gap_fills_requested_.get();
@@ -282,7 +284,10 @@ COP_HOT void ExecutionStage::execute_request(const protocol::Request& request,
     // raw ordered result (post_process ran when it was first sent), stamped
     // with the instance it originally executed in.
     auto cached = state.replies.find(request.id);
-    if (cached == state.replies.end()) return;
+    if (cached == state.replies.end()) {
+      n_duplicates_unanswered_.add();
+      return;
+    }
     const protocol::SeqNum seq = cached->second.seq;
     send_reply(request.client, request.id, batch.view,
                static_cast<std::uint32_t>(seq % config_.num_pillars), seq,
@@ -331,7 +336,9 @@ COP_HOT void ExecutionStage::send_reply(protocol::ClientId client,
                              {protocol::client_node(client)});
   trace::point(trace::Point::kReplyEgress, self_, pillar, seq, view, client,
                request);
-  transport_.send(protocol::client_node(client), /*lane=*/0, std::move(frame));
+  if (!transport_.send(protocol::client_node(client), /*lane=*/0,
+                       std::move(frame)))
+    n_replies_unsent_.add();
 }
 
 void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {

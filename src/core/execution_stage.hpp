@@ -56,7 +56,12 @@ struct ExecutionStats {
   std::uint64_t requests_executed = 0;
   std::uint64_t noops_executed = 0;
   std::uint64_t duplicates_suppressed = 0;
+  /// Suppressed duplicates whose reply had left the per-client cache, so
+  /// the retransmission got no answer.
+  std::uint64_t duplicates_unanswered = 0;
   std::uint64_t replies_sent = 0;
+  /// Sealed replies the transport refused to send.
+  std::uint64_t replies_unsent = 0;
   /// Always 0 (every reply is sealed on the stage); perfbench still reads it.
   std::uint64_t replies_offloaded = 0;
   std::uint64_t replies_omitted = 0;
@@ -229,7 +234,9 @@ class ExecutionStage {
   StageCounter n_requests_executed_;
   StageCounter n_noops_executed_;
   StageCounter n_duplicates_suppressed_;
+  StageCounter n_duplicates_unanswered_;
   StageCounter n_replies_sent_;
+  StageCounter n_replies_unsent_;
   StageCounter n_replies_omitted_;
   StageCounter n_checkpoints_triggered_;
   StageCounter n_gap_fills_requested_;

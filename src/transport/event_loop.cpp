@@ -13,6 +13,7 @@
 
 #include "common/logging.hpp"
 #include "common/time.hpp"
+#include "transport/tcp.hpp"
 
 namespace copbft::transport {
 namespace {
@@ -216,10 +217,10 @@ void Conn::mark_closed() {
 // EventLoop
 
 EventLoop::EventLoop(std::string name, std::string metric_prefix,
-                     EventLoopOptions opts, EventLoopHooks hooks)
+                     EventLoopOptions opts, TcpTransport& transport)
     : name_(std::move(name)),
       opts_(opts),
-      hooks_(std::move(hooks)),
+      transport_(transport),
       // Opened here, before any loop of the transport runs: another loop's
       // thread may hand this one a connection (and wake it) before this
       // loop's start().
@@ -338,7 +339,7 @@ void EventLoop::adopt(std::shared_ptr<Conn> conn) {
   if (conn) {
     // Raced shutdown: the loop will never pick it up, close it here.
     conn->mark_closed();
-    if (hooks_.on_close) hooks_.on_close(conn);
+    transport_.on_conn_closed(conn);
     return;
   }
   wake();
@@ -506,14 +507,14 @@ void EventLoop::register_conn(const std::shared_ptr<Conn>& conn) {
   ev.data.fd = conn->fd();
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->fd(), &ev) < 0) {
     conn->mark_closed();
-    if (hooks_.on_close) hooks_.on_close(conn);
+    transport_.on_conn_closed(conn);
     return;
   }
   conn->registered_ = true;
   conn->want_write_ = false;
   conns_[conn->fd()] = conn;
   // A migrated conn may carry queued output from its previous loop.
-  if (conn->has_pending_out()) flush_conn(conn);
+  flush_conn(conn);
 }
 
 std::shared_ptr<Conn> EventLoop::lookup(int fd) {
@@ -559,7 +560,7 @@ void EventLoop::accept_batch() {
     }
     int yes = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &yes, sizeof yes);
-    auto conn = hooks_.on_accept ? hooks_.on_accept(fd) : nullptr;
+    auto conn = transport_.on_accept(fd);
     if (!conn) {
       ::close(fd);
       continue;
@@ -603,7 +604,8 @@ COP_HOT void EventLoop::handle_readable(const std::shared_ptr<Conn>& conn,
       break;
     }
     batch_frames += frames_.size();
-    conn->count_rx(frames_.size(), static_cast<std::uint64_t>(n));
+    conn->counters().rx_frames.add(frames_.size());
+    conn->counters().rx_bytes.add(static_cast<std::uint64_t>(n));
     for (Bytes& frame : frames_) {
       if (conn->fd_ < 0) break;
       if (conn->paused_) {
@@ -640,7 +642,7 @@ bool EventLoop::consume_hello(const std::shared_ptr<Conn>& conn,
   std::memcpy(&from, conn->hello_buf_, sizeof from);
   std::memcpy(&lane, conn->hello_buf_ + sizeof from, sizeof lane);
   conn->set_identity(from, lane);
-  EventLoop* target = hooks_.on_hello ? hooks_.on_hello(conn) : this;
+  EventLoop* target = transport_.on_hello(conn);
   if (target == nullptr) return false;  // rejected (no sink for the lane)
   conn->migrate_target_ = (target == this) ? nullptr : target;
   return true;
@@ -658,18 +660,14 @@ COP_HOT void EventLoop::route_frame(const std::shared_ptr<Conn>& conn,
       return;
     }
   }
-  auto sink = conn->sink();
-  if (!sink && hooks_.resolve_sink) {
-    sink = hooks_.resolve_sink(conn);
-    if (sink) conn->set_sink(sink);
-  }
+  const std::shared_ptr<FrameSink>& sink = conn->sink();
   if (!sink) {
     m_protocol_errors_.add();
     return;
   }
   switch (sink->try_deliver(rf)) {
     case Admit::kAdmitted:
-      conn->count_ingress_accepted();
+      conn->counters().ingress_accepted.add();
       return;
     case Admit::kBusy:
       if (conn->sheddable_) {
@@ -691,7 +689,7 @@ void EventLoop::enqueue_retry(const std::shared_ptr<Conn>& conn,
                               ReceivedFrame frame, std::uint64_t now) {
   auto& queue = lane_retry(frame.lane);
   if (queue.size() >= opts_.ingress_retry_budget) {
-    conn->count_ingress_shed();
+    conn->counters().ingress_shed.add();
     return;  // shed: the client's retransmission is the retry
   }
   queue.push_back(PendingFrame{conn, std::move(frame),
@@ -713,16 +711,16 @@ void EventLoop::pump_retries(std::uint64_t now) {
         // The request sat at ingress longer than it would stay fresh;
         // drop it — the client retransmits against live state instead of
         // the replica chewing through a stale backlog.
-        entry.conn->count_deadline_drop();
+        entry.conn->counters().ingress_deadline_drops.add();
         queue.pop_front();
         --retry_depth_;
         continue;
       }
-      auto sink = entry.conn->sink();
-      const Admit admit =
-          sink ? sink->try_deliver(entry.frame) : Admit::kClosed;
+      // Only client conns queue here, and on_hello() gave each a sink.
+      const Admit admit = entry.conn->sink()->try_deliver(entry.frame);
       if (admit == Admit::kBusy) break;  // keep order; retry next tick
-      if (admit == Admit::kAdmitted) entry.conn->count_ingress_accepted();
+      if (admit == Admit::kAdmitted)
+        entry.conn->counters().ingress_accepted.add();
       if (admit == Admit::kClosed && entry.conn->fd() >= 0)
         close_conn(entry.conn);
       queue.pop_front();
@@ -740,15 +738,14 @@ void EventLoop::pump_paused() {
     }
     bool closed = false;
     while (!conn->parked_.empty()) {
-      auto sink = conn->sink();
-      const Admit admit =
-          sink ? sink->try_deliver(conn->parked_.front()) : Admit::kClosed;
+      // A conn pauses only after its sink answered kBusy.
+      const Admit admit = conn->sink()->try_deliver(conn->parked_.front());
       if (admit == Admit::kBusy) break;
       if (admit == Admit::kClosed) {
         closed = true;
         break;
       }
-      conn->count_ingress_accepted();
+      conn->counters().ingress_accepted.add();
       conn->parked_.pop_front();
     }
     if (closed) {
@@ -814,7 +811,8 @@ COP_HOT void EventLoop::flush_conn(const std::shared_ptr<Conn>& conn) {
     std::size_t released = 0;
     const std::size_t done =
         conn->end_flush(static_cast<std::size_t>(n), released);
-    conn->count_tx(done, released);
+    conn->counters().tx_frames.add(done);
+    conn->counters().tx_bytes.add(released);
   }
 }
 
@@ -827,7 +825,7 @@ void EventLoop::close_conn(const std::shared_ptr<Conn>& conn) {
   conns_.erase(conn->fd());
   std::erase(paused_, conn);
   conn->mark_closed();
-  if (hooks_.on_close) hooks_.on_close(conn);
+  transport_.on_conn_closed(conn);
 }
 
 void EventLoop::migrate(const std::shared_ptr<Conn>& conn, EventLoop* target) {
@@ -858,7 +856,7 @@ bool submit_frame(const std::shared_ptr<Conn>& conn, Bytes frame) {
     case Conn::Offer::kOverflow:
       // Egress admission: dropping beats blocking the sending (pillar)
       // thread on a slow peer; the protocol absorbs loss by design.
-      conn->count_egress_dropped();
+      conn->counters().egress_dropped.add();
       return false;
     case Conn::Offer::kClosed:
       return false;

@@ -44,6 +44,7 @@
 namespace copbft::transport {
 
 class EventLoop;
+class TcpTransport;
 
 /// Incremental length-prefixed frame decoder (u32 host-order length, then
 /// payload — the same wire format the blocking transport used). Feed it
@@ -58,7 +59,6 @@ class FrameDecoder {
   /// Adjusts the bound for frames whose header has not been read yet
   /// (connections are re-bounded once the hello identifies the peer class).
   void set_max_frame(std::uint32_t max_frame) { max_frame_ = max_frame; }
-  std::uint32_t max_frame() const { return max_frame_; }
 
   /// Consumes `len` bytes, appending completed frames to `out`. Returns
   /// false on a length-header violation (frame larger than max_frame):
@@ -97,6 +97,22 @@ std::size_t consume_flushed(std::deque<OutFrame>& queue,
                             std::size_t front_offset, std::size_t written,
                             std::size_t& frames_done,
                             std::size_t& bytes_released);
+
+/// Traffic and admission counters of one (node, lane). The transport builds
+/// the record the first time the lane is used; every connection on the
+/// lane points at it, so per-frame accounting looks nothing up.
+struct LaneCounters {
+  metrics::Counter& rx_frames;
+  metrics::Counter& rx_bytes;
+  metrics::Counter& tx_frames;
+  metrics::Counter& tx_bytes;
+  metrics::Counter& ingress_accepted;
+  metrics::Counter& ingress_shed;
+  metrics::Counter& ingress_deadline_drops;
+  metrics::Counter& egress_dropped;
+  metrics::Counter& connects;
+  metrics::Counter& dead_peer_drops;
+};
 
 /// One connection, owned by exactly one EventLoop at a time. Senders (any
 /// thread) enqueue frames under out_mutex_ and poke the owning loop; all
@@ -140,16 +156,16 @@ class Conn {
     owner_.store(loop, std::memory_order_release);
   }
 
-  /// Inbound destination. Resolved at dial time / hello time; may be
-  /// re-resolved lazily when a sink registers after the conn came up.
-  std::shared_ptr<FrameSink> sink() const {
-    MutexLock lock(out_mutex_);
-    return sink_;
-  }
-  void set_sink(std::shared_ptr<FrameSink> sink) {
-    MutexLock lock(out_mutex_);
+  /// Binds the inbound destination and the lane's counters. The transport
+  /// calls it once, before the conn is published to any other thread:
+  /// dial() for a dialed conn, on_hello() for an accepted one.
+  void bind(std::shared_ptr<FrameSink> sink, LaneCounters& counters) {
     sink_ = std::move(sink);
+    counters_ = &counters;
   }
+  /// Null when nobody had registered a sink for the lane at bind time.
+  const std::shared_ptr<FrameSink>& sink() const { return sink_; }
+  LaneCounters& counters() const { return *counters_; }
 
   /// Sheddable = client-facing admission (shed-or-queue-with-deadline);
   /// lossless = replica traffic (park + TCP backpressure).
@@ -165,10 +181,6 @@ class Conn {
 
   /// Sender-side enqueue (any thread, non-blocking).
   Offer offer(Bytes frame);
-  bool has_pending_out() const {
-    MutexLock lock(out_mutex_);
-    return !out_.empty();
-  }
 
   /// Flush protocol (loop thread): begin_flush snapshots iovecs for the
   /// queued frames (returns 0 when drained, clearing the flush-scheduled
@@ -180,46 +192,6 @@ class Conn {
   /// Marks the conn dead and closes the fd; idempotent. Pending outbound
   /// frames are discarded.
   void mark_closed();
-
-  // Per-lane traffic/admission counters, bound once on the cold path
-  // (dial / hello) so per-frame accounting is a cached pointer. Null until
-  // bound; the loop guards every use.
-  void bind_rx(metrics::Counter* frames, metrics::Counter* bytes) {
-    rx_frames_ = frames;
-    rx_bytes_ = bytes;
-  }
-  void bind_tx(metrics::Counter* frames, metrics::Counter* bytes) {
-    tx_frames_ = frames;
-    tx_bytes_ = bytes;
-  }
-  void bind_ingress(metrics::Counter* accepted, metrics::Counter* shed,
-                    metrics::Counter* deadline_drops,
-                    metrics::Counter* egress_dropped) {
-    ingress_accepted_ = accepted;
-    ingress_shed_ = shed;
-    ingress_deadline_drops_ = deadline_drops;
-    egress_dropped_ = egress_dropped;
-  }
-  void count_rx(std::uint64_t frames, std::uint64_t bytes) {
-    if (rx_frames_) rx_frames_->add(frames);
-    if (rx_bytes_) rx_bytes_->add(bytes);
-  }
-  void count_tx(std::uint64_t frames, std::uint64_t bytes) {
-    if (tx_frames_) tx_frames_->add(frames);
-    if (tx_bytes_) tx_bytes_->add(bytes);
-  }
-  void count_ingress_accepted() {
-    if (ingress_accepted_) ingress_accepted_->add();
-  }
-  void count_ingress_shed() {
-    if (ingress_shed_) ingress_shed_->add();
-  }
-  void count_deadline_drop() {
-    if (ingress_deadline_drops_) ingress_deadline_drops_->add();
-  }
-  void count_egress_dropped() {
-    if (egress_dropped_) egress_dropped_->add();
-  }
 
  private:
   friend class EventLoop;
@@ -251,18 +223,14 @@ class Conn {
   std::size_t front_offset_ COP_GUARDED_BY(out_mutex_) = 0;
   bool flush_scheduled_ COP_GUARDED_BY(out_mutex_) = false;
   bool closed_ COP_GUARDED_BY(out_mutex_) = false;
-  std::shared_ptr<FrameSink> sink_ COP_GUARDED_BY(out_mutex_);
 
   std::atomic<EventLoop*> owner_{nullptr};
 
-  metrics::Counter* rx_frames_ = nullptr;
-  metrics::Counter* rx_bytes_ = nullptr;
-  metrics::Counter* tx_frames_ = nullptr;
-  metrics::Counter* tx_bytes_ = nullptr;
-  metrics::Counter* ingress_accepted_ = nullptr;
-  metrics::Counter* ingress_shed_ = nullptr;
-  metrics::Counter* ingress_deadline_drops_ = nullptr;
-  metrics::Counter* egress_dropped_ = nullptr;
+  // Write-once: bind() sets both before the conn is published, and nothing
+  // writes them again, so any thread that reached the conn reads them
+  // without a lock.
+  std::shared_ptr<FrameSink> sink_;
+  LaneCounters* counters_ = nullptr;
 };
 
 struct EventLoopOptions {
@@ -272,31 +240,11 @@ struct EventLoopOptions {
   std::uint64_t ingress_retry_deadline_us = 20'000;
 };
 
-/// Callbacks into the owning transport. All run on the loop thread; they
-/// may take the transport's own locks (the transport never calls into the
-/// loop while holding them).
-struct EventLoopHooks {
-  /// A listener conn was accepted (fd is non-blocking, TCP_NODELAY set).
-  /// Return the Conn to adopt on this loop, or nullptr to refuse (the fd
-  /// is closed either way on refusal).
-  std::function<std::shared_ptr<Conn>(int fd)> on_accept;
-  /// The hello preamble completed: peer/lane are set. Bind the sink,
-  /// decoder bound and metrics; return the loop that should own the conn
-  /// from now on (usually lane % loops), or nullptr to reject it.
-  std::function<EventLoop*(const std::shared_ptr<Conn>&)> on_hello;
-  /// A conn with a null sink received traffic; return the sink to use
-  /// (or nullptr to drop the frame).
-  std::function<std::shared_ptr<FrameSink>(const std::shared_ptr<Conn>&)>
-      resolve_sink;
-  /// The conn was closed and removed from the loop.
-  std::function<void(const std::shared_ptr<Conn>&)> on_close;
-};
-
 /// One epoll lane. See file comment for the model.
 class EventLoop {
  public:
   EventLoop(std::string name, std::string metric_prefix, EventLoopOptions opts,
-            EventLoopHooks hooks);
+            TcpTransport& transport);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -385,7 +333,9 @@ class EventLoop {
 
   const std::string name_;
   const EventLoopOptions opts_;
-  const EventLoopHooks hooks_;
+  /// Told of accepts, hellos and closes, on the loop thread. It may take
+  /// its own locks there: it never calls into the loop while holding them.
+  TcpTransport& transport_;
 
   const int epoll_fd_;
   const int wake_fd_;

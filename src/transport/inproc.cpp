@@ -61,10 +61,4 @@ void InprocNetwork::shutdown_node(crypto::KeyNodeId node) {
     if (key.first == node && sink) sink->close();
 }
 
-void InprocNetwork::shutdown_all() {
-  MutexLock lock(mutex_);
-  for (auto& [key, sink] : sinks_)
-    if (sink) sink->close();
-}
-
 }  // namespace copbft::transport

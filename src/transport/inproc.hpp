@@ -53,7 +53,6 @@ class InprocNetwork {
   bool send(crypto::KeyNodeId from, crypto::KeyNodeId to, LaneId lane,
             Bytes frame);
   void shutdown_node(crypto::KeyNodeId node);
-  void shutdown_all();
 
  private:
   struct LaneCounters {

@@ -40,25 +40,7 @@ struct Hello {
   std::uint32_t lane;
 };
 
-std::string lane_metric(crypto::KeyNodeId self, LaneId lane,
-                        const char* name) {
-  return "tcp.node" + std::to_string(self) + ".lane" + std::to_string(lane) +
-         "." + name;
-}
-
 }  // namespace
-
-bool read_exact(int fd, void* buf, std::size_t len) {
-  auto* p = static_cast<Byte*>(buf);
-  while (len > 0) {
-    ssize_t n = ::recv(fd, p, len, 0);
-    if (n < 0 && errno == EINTR) continue;  // signal, not connection death
-    if (n <= 0) return false;
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 bool write_all_fd(int fd, const Byte* data, std::size_t len) {
   while (len > 0) {
@@ -178,23 +160,12 @@ bool TcpTransport::start() {
     }
   }
 
-  EventLoopHooks hooks;
-  hooks.on_accept = [this](int fd) { return on_accept(fd); };
-  hooks.on_hello = [this](const std::shared_ptr<Conn>& conn) {
-    return on_hello(conn);
-  };
-  hooks.resolve_sink = [this](const std::shared_ptr<Conn>& conn) {
-    return sink_for_conn(conn);
-  };
-  hooks.on_close = [this](const std::shared_ptr<Conn>& conn) {
-    on_conn_closed(conn);
-  };
   const std::uint32_t nloops = std::max(1u, options_.lane_threads);
   for (std::uint32_t i = 0; i < nloops; ++i) {
     loops_.push_back(std::make_shared<EventLoop>(
         "tcp-lane" + std::to_string(i),
         "tcp.node" + std::to_string(self_) + ".loop" + std::to_string(i) + ".",
-        options_.loop, hooks));
+        options_.loop, *this));
   }
   if (listen_fd >= 0) loops_[0]->set_listener(listen_fd);
   for (auto& loop : loops_) {
@@ -208,22 +179,42 @@ bool TcpTransport::start() {
   return true;
 }
 
-std::shared_ptr<FrameSink> TcpTransport::sink_for(LaneId lane) {
-  MutexLock lock(mutex_);
+std::shared_ptr<FrameSink> TcpTransport::sink_for(crypto::KeyNodeId local,
+                                                  LaneId lane) {
+  // Dialed on behalf of a multiplexed client endpoint: inbound frames on
+  // this conn are that endpoint's replies, not ours.
+  if (local != self_) {
+    auto it = endpoints_.find(local);
+    return it == endpoints_.end() ? nullptr : it->second->sink();
+  }
   auto it = sinks_.find(lane);
   return it == sinks_.end() ? nullptr : it->second;
 }
 
-std::shared_ptr<FrameSink> TcpTransport::sink_for_conn(
-    const std::shared_ptr<Conn>& conn) {
-  // Dialed on behalf of a multiplexed client endpoint: inbound frames on
-  // this conn are that endpoint's replies, not ours.
-  if (conn->kind() == Conn::Kind::kDialed && conn->local_from() != self_) {
-    MutexLock lock(mutex_);
-    auto it = endpoints_.find(conn->local_from());
-    return it == endpoints_.end() ? nullptr : it->second->sink();
-  }
-  return sink_for(conn->lane());
+LaneCounters& TcpTransport::lane_counters(LaneId lane) {
+  auto it = lane_counters_.find(lane);
+  if (it != lane_counters_.end()) return it->second;
+  auto& registry = metrics::MetricsRegistry::global();
+  const std::string prefix =
+      "tcp.node" + std::to_string(self_) + ".lane" + std::to_string(lane) + ".";
+  auto counter = [&](const char* name) -> metrics::Counter& {
+    return registry.counter(prefix + name);
+  };
+  return lane_counters_
+      .emplace(lane, LaneCounters{
+                         .rx_frames = counter("rx_frames"),
+                         .rx_bytes = counter("rx_bytes"),
+                         .tx_frames = counter("tx_frames"),
+                         .tx_bytes = counter("tx_bytes"),
+                         .ingress_accepted = counter("ingress_accepted"),
+                         .ingress_shed = counter("ingress_shed"),
+                         .ingress_deadline_drops =
+                             counter("ingress_deadline_drops"),
+                         .egress_dropped = counter("egress_dropped"),
+                         .connects = counter("connects"),
+                         .dead_peer_drops = counter("dead_peer_drops"),
+                     })
+      .first->second;
 }
 
 void TcpTransport::register_sink(LaneId lane, std::shared_ptr<FrameSink> sink) {
@@ -315,20 +306,6 @@ int TcpTransport::connect_with_retry(const TcpPeer& peer, int attempts) {
   }
 }
 
-void TcpTransport::bind_conn_metrics(const std::shared_ptr<Conn>& conn,
-                                     LaneId lane) {
-  auto& registry = metrics::MetricsRegistry::global();
-  conn->bind_rx(&registry.counter(lane_metric(self_, lane, "rx_frames")),
-                &registry.counter(lane_metric(self_, lane, "rx_bytes")));
-  conn->bind_tx(&registry.counter(lane_metric(self_, lane, "tx_frames")),
-                &registry.counter(lane_metric(self_, lane, "tx_bytes")));
-  conn->bind_ingress(
-      &registry.counter(lane_metric(self_, lane, "ingress_accepted")),
-      &registry.counter(lane_metric(self_, lane, "ingress_shed")),
-      &registry.counter(lane_metric(self_, lane, "ingress_deadline_drops")),
-      &registry.counter(lane_metric(self_, lane, "egress_dropped")));
-}
-
 std::shared_ptr<Conn> TcpTransport::on_accept(int fd) {
   {
     MutexLock lock(mutex_);
@@ -347,21 +324,20 @@ EventLoop* TcpTransport::on_hello(const std::shared_ptr<Conn>& conn) {
   const bool client = conn->peer() >= kClientNodeFloor;
   conn->set_sheddable(client);
   if (!client) conn->decoder().set_max_frame(kMaxFrameReplica);
-  auto sink = sink_for(conn->lane());
-  if (!sink) {
-    COP_LOG_WARN("node %u: no sink for lane %u", self_, conn->lane());
-    return nullptr;
-  }
-  conn->set_sink(std::move(sink));
-  bind_conn_metrics(conn, conn->lane());
   {
     MutexLock lock(mutex_);
     if (stopping_) return nullptr;
-    // Replies to this client go back over the connection it dialed;
-    // latest hello wins if the client reconnects.
-    if (client) accepted_routes_[conn->peer()] = conn;
+    auto sink = sink_for(self_, conn->lane());
+    if (sink) {
+      conn->bind(std::move(sink), lane_counters(conn->lane()));
+      // Replies to this client go back over the connection it dialed;
+      // latest hello wins if the client reconnects.
+      if (client) accepted_routes_[conn->peer()] = conn;
+      return loop_for(conn->lane());
+    }
   }
-  return loop_for(conn->lane());
+  COP_LOG_WARN("node %u: no sink for lane %u", self_, conn->lane());
+  return nullptr;
 }
 
 void TcpTransport::on_conn_closed(const std::shared_ptr<Conn>& conn) {
@@ -372,14 +348,12 @@ void TcpTransport::on_conn_closed(const std::shared_ptr<Conn>& conn) {
     if (it != accepted_routes_.end() && it->second == conn)
       accepted_routes_.erase(it);
   } else {
-    const DialKey key{conn->local_from(), conn->peer(), conn->lane()};
-    auto it = outgoing_.find(key);
-    if (it != outgoing_.end() && it->second == conn) {
-      outgoing_.erase(it);
-      // The peer was up: its next dial is a single attempt, so a crashed
-      // peer costs the sender one refused connect, not a retry schedule.
-      if (!stopping_) redial_at_.emplace(key, 0);
-    }
+    auto it =
+        outgoing_.find(DialKey{conn->local_from(), conn->peer(), conn->lane()});
+    // The peer was up: its next dial is a single attempt, so a crashed
+    // peer costs the sender one refused connect, not a retry schedule.
+    if (it != outgoing_.end() && it->second.conn == conn)
+      it->second.conn = nullptr;
   }
 }
 
@@ -391,7 +365,6 @@ bool TcpTransport::send_from(crypto::KeyNodeId from, crypto::KeyNodeId to,
                              LaneId lane, Bytes frame) {
   std::shared_ptr<Conn> conn;
   bool redial = false;
-  bool backing_off = false;
   {
     MutexLock lock(mutex_);
     if (stopping_) return false;
@@ -402,27 +375,21 @@ bool TcpTransport::send_from(crypto::KeyNodeId from, crypto::KeyNodeId to,
     }
     if (!conn) {
       auto it = outgoing_.find(DialKey{from, to, lane});
-      if (it != outgoing_.end()) conn = it->second;
-    }
-    if (!conn) {
-      auto it = redial_at_.find(DialKey{from, to, lane});
-      if (it != redial_at_.end()) {
-        const std::uint64_t now = now_us();
-        if (now < it->second) {
-          backing_off = true;
-        } else {
+      if (it != outgoing_.end()) {
+        Route& route = it->second;
+        conn = route.conn;
+        if (!conn) {
+          const std::uint64_t now = now_us();
+          if (now < route.redial_at_us) {
+            lane_counters(lane).dead_peer_drops.add();
+            return false;
+          }
           // This sender re-dials; the others keep failing fast meanwhile.
-          it->second = now + kDeadPeerBackoffUs;
+          route.redial_at_us = now + kDeadPeerBackoffUs;
           redial = true;
         }
       }
     }
-  }
-  if (backing_off) {
-    metrics::MetricsRegistry::global()
-        .counter(lane_metric(self_, lane, "dead_peer_drops"))
-        .add();
-    return false;
   }
   if (!conn) conn = dial(from, to, lane, redial);
   if (!conn) return false;
@@ -440,10 +407,10 @@ std::shared_ptr<Conn> TcpTransport::dial(crypto::KeyNodeId from,
   // sends (plus sink registration and shutdown) meanwhile. The first dial
   // rides the schedule to bridge a late listener; a re-dial tries once.
   int fd = connect_with_retry(peer->second, redial ? 1 : connect_attempts_);
+  const DialKey key{from, to, lane};
   if (fd < 0) {
     MutexLock lock(mutex_);
-    if (!stopping_)
-      redial_at_[DialKey{from, to, lane}] = now_us() + kDeadPeerBackoffUs;
+    if (!stopping_) outgoing_[key].redial_at_us = now_us() + kDeadPeerBackoffUs;
     return nullptr;
   }
   const bool to_client = to >= kClientNodeFloor;
@@ -461,29 +428,22 @@ std::shared_ptr<Conn> TcpTransport::dial(crypto::KeyNodeId from,
   // fit the empty send buffer of the non-blocking socket.
   if (!write_all_fd(fd, reinterpret_cast<const Byte*>(&hello), sizeof hello))
     return nullptr;
-  conn->set_sink(sink_for_conn(conn));  // may be null: resolved lazily
-  bind_conn_metrics(conn, lane);
   conn->set_owner(loop_for(lane));
-  bool publish = false;
   {
     MutexLock lock(mutex_);
     if (stopping_) return nullptr;
-    redial_at_.erase(DialKey{from, to, lane});
-    auto& slot = outgoing_[DialKey{from, to, lane}];
-    if (slot) {
-      // Another sender dialed this (from, to, lane) while we were outside
-      // the lock; keep the published one, drop ours.
-      conn = slot;
-    } else {
-      metrics::MetricsRegistry::global()
-          .counter(lane_metric(self_, lane, "connects"))
-          .add();
-      slot = conn;
-      publish = true;
-    }
+    Route& route = outgoing_[key];
+    // Another sender dialed this (from, to, lane) while we were outside
+    // the lock; keep the published one, drop ours.
+    if (route.conn) return route.conn;
+    LaneCounters& counters = lane_counters(lane);
+    conn->bind(sink_for(from, lane), counters);
+    counters.connects.add();
+    route = Route{conn, 0};
   }
-  // Adopt outside mutex_ (lock order: the loop's hooks take mutex_).
-  if (publish) conn->owner()->adopt(conn);
+  // Adopt outside mutex_ (lock order: the loop calls into the transport,
+  // which takes mutex_).
+  conn->owner()->adopt(conn);
   return conn;
 }
 
@@ -503,7 +463,7 @@ void TcpTransport::drop_endpoint(crypto::KeyNodeId node) {
     endpoints_.erase(node);
     for (auto it = outgoing_.begin(); it != outgoing_.end();) {
       if (std::get<0>(it->first) == node) {
-        conns.push_back(it->second);
+        if (it->second.conn) conns.push_back(std::move(it->second.conn));
         it = outgoing_.erase(it);
       } else {
         ++it;
@@ -535,7 +495,6 @@ void TcpTransport::shutdown() {
     outgoing_.clear();
     accepted_routes_.clear();
     endpoints_.clear();
-    redial_at_.clear();
   }
   for (auto& endpoint : endpoints) endpoint->close_sink();
 }

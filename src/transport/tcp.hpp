@@ -32,12 +32,6 @@ struct TcpPeer {
   std::uint16_t port = 0;
 };
 
-/// Reads exactly `len` bytes from `fd`. Retries on EINTR: a signal
-/// delivered to the reading thread (profilers, timers) interrupts recv()
-/// with a partial transfer in flight, which is not connection death.
-/// Returns false on EOF or a real error.
-bool read_exact(int fd, void* buf, std::size_t len);
-
 /// Writes all `len` bytes to `fd` (MSG_NOSIGNAL), retrying on EINTR.
 bool write_all_fd(int fd, const Byte* data, std::size_t len);
 
@@ -101,9 +95,17 @@ class TcpTransport final : public Transport {
  private:
   class Endpoint;
   friend class Endpoint;
+  friend class EventLoop;
 
   /// (local identity, remote node, lane) -> dialed connection.
   using DialKey = std::tuple<crypto::KeyNodeId, crypto::KeyNodeId, LaneId>;
+  struct Route {
+    std::shared_ptr<Conn> conn;
+    /// Dead-peer backoff while `conn` is null (a dial failed or the conn
+    /// closed): sends fail at once before this time (now_us), then one
+    /// sender re-dials with a single attempt.
+    std::uint64_t redial_at_us = 0;
+  };
 
   int connect_to(const TcpPeer& peer);
   int connect_with_retry(const TcpPeer& peer, int attempts);
@@ -111,15 +113,18 @@ class TcpTransport final : public Transport {
                  Bytes frame);
   std::shared_ptr<Conn> dial(crypto::KeyNodeId from, crypto::KeyNodeId to,
                              LaneId lane, bool redial);
-  std::shared_ptr<FrameSink> sink_for(LaneId lane);
-  std::shared_ptr<FrameSink> sink_for_conn(const std::shared_ptr<Conn>& conn);
+  /// Sink for frames arriving on a conn that `local` speaks from: a
+  /// multiplexed endpoint's own sink, or this node's sink for `lane`.
+  std::shared_ptr<FrameSink> sink_for(crypto::KeyNodeId local, LaneId lane)
+      COP_REQUIRES(mutex_);
+  /// The lane's counter record, built on first use.
+  LaneCounters& lane_counters(LaneId lane) COP_REQUIRES(mutex_);
   EventLoop* loop_for(LaneId lane) {
     return loops_[lane % loops_.size()].get();
   }
   void drop_endpoint(crypto::KeyNodeId node);
-  void bind_conn_metrics(const std::shared_ptr<Conn>& conn, LaneId lane);
 
-  // EventLoop hooks (run on loop threads).
+  // Called by the event loops, on their threads.
   std::shared_ptr<Conn> on_accept(int fd);
   EventLoop* on_hello(const std::shared_ptr<Conn>& conn);
   void on_conn_closed(const std::shared_ptr<Conn>& conn);
@@ -133,15 +138,14 @@ class TcpTransport final : public Transport {
 
   Mutex mutex_;
   std::map<LaneId, std::shared_ptr<FrameSink>> sinks_ COP_GUARDED_BY(mutex_);
-  std::map<DialKey, std::shared_ptr<Conn>> outgoing_ COP_GUARDED_BY(mutex_);
+  std::map<DialKey, Route> outgoing_ COP_GUARDED_BY(mutex_);
   /// Client node -> its accepted connection (reply route; latest wins).
   std::map<crypto::KeyNodeId, std::shared_ptr<Conn>> accepted_routes_
       COP_GUARDED_BY(mutex_);
   std::map<crypto::KeyNodeId, std::shared_ptr<Endpoint>> endpoints_
       COP_GUARDED_BY(mutex_);
-  /// Dead-peer backoff: a dial that failed, and the time (now_us) before
-  /// which sends over it fail at once instead of dialing again.
-  std::map<DialKey, std::uint64_t> redial_at_ COP_GUARDED_BY(mutex_);
+  /// Node-stable: connections keep pointers to their lane's record.
+  std::map<LaneId, LaneCounters> lane_counters_ COP_GUARDED_BY(mutex_);
   bool stopping_ COP_GUARDED_BY(mutex_) = false;
   bool started_ COP_GUARDED_BY(mutex_) = false;
 

@@ -341,6 +341,7 @@ TEST_F(ExecutionStageTest, ReplyCacheEvictsOldestAndServesIndexedHits) {
   ExecutionStats stats = stage_->stats();
   EXPECT_EQ(stats.requests_executed, 40u) << "retransmissions not re-run";
   EXPECT_EQ(stats.duplicates_suppressed, 2u);
+  EXPECT_EQ(stats.duplicates_unanswered, 1u) << "only the evicted miss";
   EXPECT_EQ(stats.replies_sent, 41u) << "hit resent, evicted miss silent";
 
   auto sent = transport_.take_sent();
@@ -350,6 +351,26 @@ TEST_F(ExecutionStageTest, ReplyCacheEvictsOldestAndServesIndexedHits) {
   ASSERT_EQ(first.id, 40u);
   EXPECT_EQ(resent.id, 40u);
   EXPECT_EQ(resent.result, first.result);
+}
+
+// A reply the transport refuses is still sealed and counted as sent, and
+// counted once more as unsent; replies to other clients are unaffected.
+TEST_F(ExecutionStageTest, RefusedReplyCountsAsUnsent) {
+  transport_.refuse(client_node(1002));
+  start();
+  stage_->admit(batch(1, {1}, /*client=*/1001));
+  stage_->admit(batch(2, {1}, /*client=*/1002));
+  ASSERT_TRUE(wait_stats([](const ExecutionStats& s) {
+    return s.replies_sent >= 2 && s.replies_unsent >= 1;
+  }));
+  stage_->stop();
+
+  ExecutionStats stats = stage_->stats();
+  EXPECT_EQ(stats.replies_sent, 2u);
+  EXPECT_EQ(stats.replies_unsent, 1u);
+  auto sent = transport_.take_sent();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].to, client_node(1001));
 }
 
 TEST_F(ExecutionStageTest, ReplyFrameIsTheSealOfTheExecutedResult) {

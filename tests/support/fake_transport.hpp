@@ -2,6 +2,7 @@
 #pragma once
 
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "transport/transport.hpp"
@@ -25,8 +26,16 @@ class FakeTransport final : public transport::Transport {
   bool send(crypto::KeyNodeId to, transport::LaneId lane,
             Bytes frame) override {
     std::lock_guard lock(mutex_);
+    if (refused_.count(to)) return false;
     sent_.push_back({to, lane, std::move(frame)});
     return true;
+  }
+
+  /// Every later send to `to` fails and records nothing, as a transport
+  /// with no route to the node would.
+  void refuse(crypto::KeyNodeId to) {
+    std::lock_guard lock(mutex_);
+    refused_.insert(to);
   }
 
   void shutdown() override {}
@@ -54,6 +63,7 @@ class FakeTransport final : public transport::Transport {
  private:
   mutable std::mutex mutex_;
   std::vector<Sent> sent_;
+  std::set<crypto::KeyNodeId> refused_;
   std::vector<std::pair<transport::LaneId,
                         std::shared_ptr<transport::FrameSink>>>
       sinks_;

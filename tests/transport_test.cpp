@@ -329,6 +329,20 @@ TEST(TcpConnectRetry, GivesUpAfterBoundedAttempts) {
 
 extern "C" void eintr_noop_handler(int) {}
 
+/// Reads exactly `len` bytes, retrying on EINTR: the reader side of the
+/// transfer below (the transport itself only reads through its loops).
+bool read_exact(int fd, void* buf, std::size_t len) {
+  auto* p = static_cast<Byte*>(buf);
+  while (len > 0) {
+    ssize_t n = ::recv(fd, p, len, 0);
+    if (n < 0 && errno == EINTR) continue;  // signal, not connection death
+    if (n <= 0) return false;
+    p += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 // Regression: read_exact/write_all treated every negative return as a dead
 // connection. A signal without SA_RESTART delivered mid-transfer makes
 // recv/send fail with EINTR, which tore down perfectly healthy connections
@@ -1075,6 +1089,51 @@ TEST_F(TcpTest, RoundTripMovesEverySyscallCounter) {
   ASSERT_EQ(pop_text(*a_inbox_), "pong");
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_GT(loop_counter(1, 0, kNames[i]), before[i]) << kNames[i];
+}
+
+// The per-lane counters move on a ping/pong over lane 0: each frame moves
+// its sender's tx_frames and its receiver's rx_frames by exactly one, and
+// their byte counters by at least its wire size; only the first send of a
+// (from, to, lane) dials, so only it moves connects.
+TEST_F(TcpTest, RoundTripMovesEveryLaneCounter) {
+  const std::string kNames[] = {"tx_frames", "tx_bytes", "rx_frames",
+                                "rx_bytes", "connects"};
+  auto lane0 = [](crypto::KeyNodeId node, const std::string& name) {
+    return counter_value("tcp.node" + std::to_string(node) + ".lane0." + name);
+  };
+  std::map<std::pair<crypto::KeyNodeId, std::string>, std::uint64_t> before;
+  for (crypto::KeyNodeId node : {1u, 2u})
+    for (const std::string& name : kNames)
+      before[{node, name}] = lane0(node, name);
+  auto moved = [&](crypto::KeyNodeId node, const std::string& name) {
+    return lane0(node, name) - before[{node, name}];
+  };
+  constexpr std::uint64_t kWire = sizeof(std::uint32_t) + 4;  // "ping"
+
+  ASSERT_TRUE(a_->send(2, 0, to_bytes("ping")));
+  EXPECT_EQ(moved(1, "connects"), 1u);
+  ASSERT_EQ(pop_text(*b_inbox_), "ping");
+  ASSERT_TRUE(b_->send(1, 0, to_bytes("pong")));
+  EXPECT_EQ(moved(2, "connects"), 1u);
+  ASSERT_EQ(pop_text(*a_inbox_), "pong");
+  // A receiver counts a frame before its sink sees it, and a's loop
+  // counted the ping before it read the pong; b counts the pong once
+  // sendmsg returns, which may be after a read it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (moved(2, "tx_frames") == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (crypto::KeyNodeId node : {1u, 2u}) {
+    EXPECT_EQ(moved(node, "tx_frames"), 1u) << "node " << node;
+    EXPECT_EQ(moved(node, "rx_frames"), 1u) << "node " << node;
+    EXPECT_GE(moved(node, "tx_bytes"), kWire) << "node " << node;
+    EXPECT_GE(moved(node, "rx_bytes"), kWire) << "node " << node;
+  }
+
+  ASSERT_TRUE(a_->send(2, 0, to_bytes("again")));
+  EXPECT_EQ(moved(1, "connects"), 1u) << "the second send dialed again";
+  EXPECT_EQ(pop_text(*b_inbox_), "again");
 }
 
 // A claimant drives the loop from its own thread. A frame it sends inside
