@@ -9,12 +9,24 @@ COP_HOT Bytes seal_message(protocol::Message& msg,
                    const crypto::CryptoProvider& crypto,
                    crypto::KeyNodeId self,
                    const std::vector<crypto::KeyNodeId>& recipients) {
-  Bytes frame = protocol::encode_authenticated_part(msg);
+  Bytes frame = protocol::encode_authenticated_part(msg, recipients.size());
   auto auth = crypto::Authenticator::build(crypto, self, recipients,
                                            ByteSpan{frame});
   protocol::authenticator_of(msg) = auth;
   protocol::WireWriter w(frame);
   w.authenticator(auth);
+  return frame;
+}
+
+COP_HOT Bytes seal_vote_bundle(
+    const std::vector<protocol::Message>& votes,
+    const crypto::CryptoProvider& crypto, protocol::ReplicaId self,
+    const std::vector<crypto::KeyNodeId>& recipients) {
+  Bytes frame;
+  frame.reserve(protocol::vote_bundle_size(votes, recipients.size()));
+  protocol::write_vote_bundle(frame, self, votes);
+  protocol::WireWriter(frame).authenticator(crypto::Authenticator::build(
+      crypto, protocol::replica_node(self), recipients, ByteSpan{frame}));
   return frame;
 }
 

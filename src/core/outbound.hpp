@@ -18,6 +18,14 @@ Bytes seal_message(protocol::Message& msg, const crypto::CryptoProvider& crypto,
                    crypto::KeyNodeId self,
                    const std::vector<crypto::KeyNodeId>& recipients);
 
+/// Seals `votes` from replica `self` for `recipients` as one bundle frame
+/// with one authenticator (protocol::write_vote_bundle), encoded into one
+/// buffer sized once.
+Bytes seal_vote_bundle(const std::vector<protocol::Message>& votes,
+                       const crypto::CryptoProvider& crypto,
+                       protocol::ReplicaId self,
+                       const std::vector<crypto::KeyNodeId>& recipients);
+
 /// Node ids of all replicas except `self`.
 std::vector<crypto::KeyNodeId> other_replicas(std::uint32_t num_replicas,
                                               protocol::ReplicaId self);

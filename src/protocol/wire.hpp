@@ -107,6 +107,15 @@ class WireReader {
     return a;
   }
 
+  /// Steps over `n` bytes.
+  void skip(std::size_t n) {
+    if (!ok_ || data_.size() - pos_ < n) {
+      ok_ = false;
+      return;
+    }
+    pos_ += n;
+  }
+
   bool ok() const { return ok_; }
   std::size_t position() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }

@@ -112,6 +112,10 @@ struct LaneCounters {
   metrics::Counter& egress_dropped;
   metrics::Counter& connects;
   metrics::Counter& dead_peer_drops;
+  /// Replies held for a client that had not said hello yet, and those of
+  /// them dropped because it did not say hello in time.
+  metrics::Counter& replies_held;
+  metrics::Counter& held_replies_expired;
 };
 
 /// One connection, owned by exactly one EventLoop at a time. Senders (any

@@ -1,6 +1,6 @@
 // COP over loopback TCP: four threaded replicas, each on its own
 // TcpTransport whose lane loops its pillars drive, with real crypto and
-// real clients. Listen ports are fixed per test in 21100–21529, below the
+// real clients. Listen ports are fixed per test in 21100–21543, below the
 // kernel's ephemeral range and clear of every other test's ports.
 #include <dirent.h>
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <chrono>
 
 #include "app/kv_store.hpp"
+#include "protocol/verifier.hpp"
 #include "support/cluster_fixture.hpp"
 
 namespace copbft::test {
@@ -223,6 +224,79 @@ TEST(TcpCluster, TeardownInEitherOrderLeaksNoDescriptors) {
         << (transports_first ? "transports first" : "replicas first");
   }
   EXPECT_EQ(count_open_fds(), baseline);
+}
+
+// A client's first request can reach the backups through the leader's
+// pre-prepare and be executed there before the client has dialed them.
+// Their replies wait for the client's hello, so the client still collects
+// f+1 matching replies; without the wait only the leader's arrived.
+TEST(TcpCluster, BackupsReplyToAClientThatDialsThemAfterExecuting) {
+  constexpr std::uint16_t kBasePort = 21540;
+  Cluster cluster(tcp_options(kBasePort, 2));
+  cluster.start();
+
+  const protocol::ClientId id = protocol::kClientIdBase + 77;
+  const transport::LaneId lane = id % 2;
+  std::map<crypto::KeyNodeId, transport::TcpPeer> peers;
+  std::vector<crypto::KeyNodeId> replicas;
+  for (ReplicaId r = 0; r < 4; ++r) {
+    peers[protocol::replica_node(r)] = {
+        "127.0.0.1", static_cast<std::uint16_t>(kBasePort + r)};
+    replicas.push_back(protocol::replica_node(r));
+  }
+  transport::TcpTransport socket(protocol::client_node(id),
+                                 /*listen_port=*/0, peers);
+  auto inbox = std::make_shared<transport::Inbox>();
+  socket.register_sink(lane, inbox);
+  ASSERT_TRUE(socket.start());
+
+  protocol::Request req;
+  req.client = id;
+  req.id = 1;
+  req.payload = to_bytes("first");
+  req.auth = crypto::Authenticator::build(
+      cluster.crypto(), protocol::client_node(id), replicas,
+      protocol::request_authenticated_bytes(req));
+  ASSERT_TRUE(socket.send(protocol::replica_node(0), lane,
+                          protocol::encode_message(req)));
+  ASSERT_TRUE(wait_for_all_replicas(cluster, [](const auto& stats) {
+    return stats.exec.requests_executed >= 1;
+  })) << "a backup did not execute the request";
+
+  // Dial the backups: an empty frame carries the hello and nothing a
+  // pillar accepts.
+  for (ReplicaId r = 1; r < 4; ++r)
+    ASSERT_TRUE(socket.send(protocol::replica_node(r), lane, Bytes{}));
+
+  protocol::CryptoVerifier verifier(cluster.crypto(),
+                                    protocol::client_node(id));
+  std::map<ReplicaId, Bytes> results;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (results.size() < 4 && std::chrono::steady_clock::now() < deadline) {
+    auto frame = inbox->queue().pop_for(std::chrono::milliseconds(100));
+    if (!frame) continue;
+    auto decoded = protocol::decode_message(frame->bytes);
+    ASSERT_TRUE(decoded);
+    const auto& reply = std::get<protocol::Reply>(decoded->msg);
+    EXPECT_EQ(reply.client, id);
+    EXPECT_EQ(reply.id, 1u);
+    protocol::IncomingMessage im;
+    im.msg = decoded->msg;
+    im.raw = std::move(frame->bytes);
+    im.body_size = decoded->body_size;
+    EXPECT_TRUE(verifier.verify(im, protocol::replica_node(reply.replica)));
+    results[reply.replica] = reply.result;
+  }
+  ASSERT_TRUE(results.contains(0)) << "the leader's reply";
+  std::size_t matching = 0;
+  for (const auto& [replica, result] : results)
+    if (result == results.at(0)) ++matching;
+  EXPECT_GE(matching, 2u) << "f+1 matching replies";
+  EXPECT_EQ(results.size(), 4u) << "every backup's reply reached the client";
+
+  socket.shutdown();
+  cluster.stop();
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST(Outbound, InPlaceBroadcastSendsToAllPeersOnLane) {
   auto crypto = crypto::make_real_crypto(21);
   FakeTransport transport;
   InPlaceOutbound outbound(/*self=*/1, 4, *crypto, transport);
-  outbound.broadcast(Prepare{0, 3, {}, 1, {}}, /*lane=*/2);
+  outbound.broadcast({Prepare{0, 3, {}, 1, {}}}, /*lane=*/2);
 
   auto sent = transport.take_sent();
   ASSERT_EQ(sent.size(), 3u);
@@ -87,7 +87,8 @@ TEST(Outbound, AuthPoolSealsAsynchronously) {
   FakeTransport transport;
   AuthPoolOutbound outbound(/*self=*/0, 4, *crypto, transport, 2, 128);
   for (int i = 0; i < 10; ++i)
-    outbound.broadcast(Commit{0, static_cast<SeqNum>(i + 1), {}, 0, {}}, 0);
+    outbound.broadcast({Commit{0, static_cast<SeqNum>(i + 1), {}, 0, {}}},
+                       0);
   outbound.send_to(2, Prepare{0, 1, {}, 0, {}}, 0);
   outbound.stop();  // drains the queue, joins workers
 
