@@ -9,21 +9,43 @@
 namespace copbft::app {
 namespace {
 
-std::size_t bucket_of(const std::string& key) {
+std::size_t bucket_of(std::string_view key) {
   static_assert((KvStore::kBuckets & (KvStore::kBuckets - 1)) == 0,
                 "kBuckets: a power of 2");
-  return std::hash<std::string>{}(key) & (KvStore::kBuckets - 1);
+  // Equal to std::hash<std::string> of the same characters.
+  return std::hash<std::string_view>{}(key) & (KvStore::kBuckets - 1);
 }
 
 /// The first entry of a key-sorted bucket whose key is not below `key`.
 template <typename Bucket>
-auto find_key(Bucket& bucket, const std::string& key) {
+auto find_key(Bucket& bucket, std::string_view key) {
   return std::lower_bound(
       bucket.begin(), bucket.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.key < k; });
+      [](const auto& entry, std::string_view k) { return entry.key < k; });
+}
+
+std::string_view as_chars(ByteSpan bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+ByteSpan as_bytes(std::string_view chars) {
+  return {reinterpret_cast<const Byte*>(chars.data()), chars.size()};
 }
 
 }  // namespace
+
+std::optional<KvOpView> KvOpView::parse(ByteSpan payload) {
+  protocol::WireReader r(payload);
+  KvOpView op;
+  op.op = static_cast<KvOpCode>(r.u8());
+  op.key = as_chars(r.bytes_view());
+  op.value = r.bytes_view();
+  if (!r.at_end()) return std::nullopt;
+  if (op.op != KvOpCode::kGet && op.op != KvOpCode::kPut &&
+      op.op != KvOpCode::kDelete)
+    return std::nullopt;
+  return op;
+}
 
 Bytes KvOp::encode() const {
   Bytes out;
@@ -35,20 +57,15 @@ Bytes KvOp::encode() const {
 }
 
 std::optional<KvOp> KvOp::decode(ByteSpan payload) {
-  protocol::WireReader r(payload);
-  KvOp op;
-  op.op = static_cast<KvOpCode>(r.u8());
-  op.key = to_string(r.bytes());
-  op.value = r.bytes();
-  if (!r.at_end()) return std::nullopt;
-  if (op.op != KvOpCode::kGet && op.op != KvOpCode::kPut &&
-      op.op != KvOpCode::kDelete)
-    return std::nullopt;
-  return op;
+  const auto view = KvOpView::parse(payload);
+  if (!view) return std::nullopt;
+  return KvOp{view->op, std::string(view->key),
+              Bytes(view->value.begin(), view->value.end())};
 }
 
-Bytes KvResult::encode() const {
+Bytes KvResult::encode(KvStatus status, ByteSpan value) {
   Bytes out;
+  out.reserve(1 + 4 + value.size());
   protocol::WireWriter w(out);
   w.u8(static_cast<std::uint8_t>(status));
   w.bytes(value);
@@ -78,7 +95,7 @@ class KvStore::Version final : public StateVersion {
     for (const auto& bucket : buckets_) {
       for (const Entry& entry : *bucket) {
         entries.push_back(&entry);
-        total += 8 + entry.key.size() + entry.value->size();
+        total += 8 + entry.key.size() + entry.value->bytes.size();
       }
     }
     std::sort(entries.begin(), entries.end(),
@@ -89,8 +106,8 @@ class KvStore::Version final : public StateVersion {
     protocol::WireWriter w(out);
     w.u32(static_cast<std::uint32_t>(entries.size()));
     for (const Entry* entry : entries) {
-      w.bytes(to_bytes(entry->key));
-      w.bytes(*entry->value);
+      w.bytes(as_bytes(entry->key));
+      w.bytes(entry->value->bytes);
     }
     return out;
   }
@@ -119,18 +136,28 @@ KvStore::Bucket& KvStore::writable(std::size_t index) {
 }
 
 const Bytes* KvStore::lookup(const std::string& key) const {
+  const Value* value = find(key);
+  return value ? &value->bytes : nullptr;
+}
+
+const KvStore::Value* KvStore::find(std::string_view key) const {
   const Bucket& bucket = *slots_[bucket_of(key)].bucket;
   auto it = find_key(bucket, key);
   return it == bucket.end() || it->key != key ? nullptr : it->value.get();
 }
 
-crypto::Digest KvStore::entry_digest(const std::string& key,
-                                     ByteSpan value) const {
-  Bytes buf;
+std::shared_ptr<const KvStore::Value> KvStore::make_value(
+    std::string_view key, ByteSpan value) const {
+  // The entry's digest covers [key bytes | value bytes]; per thread, the
+  // buffer allocates only when an entry outgrows it.
+  thread_local Bytes buf;
+  buf.clear();
+  buf.reserve(8 + key.size() + value.size());
   protocol::WireWriter w(buf);
-  w.bytes(to_bytes(key));
+  w.bytes(as_bytes(key));
   w.bytes(value);
-  return crypto_.digest(buf);
+  return std::make_shared<const Value>(
+      Value{Bytes(value.begin(), value.end()), crypto_.digest(buf)});
 }
 
 void KvStore::xor_into(crypto::Digest& acc, const crypto::Digest& d) {
@@ -154,41 +181,41 @@ crypto::Digest KvStore::state_digest() const {
 
 Bytes KvStore::execute(const protocol::Request& request) {
   ExecutionScope in_flight(*this);
-  auto op = KvOp::decode(request.payload);
-  if (!op) return KvResult{KvStatus::kBadRequest, {}}.encode();
+  const auto op = KvOpView::parse(request.payload);
+  if (!op) return KvResult::encode(KvStatus::kBadRequest, {});
 
   const std::size_t index = bucket_of(op->key);
   switch (op->op) {
     case KvOpCode::kGet: {
-      const Bytes* value = lookup(op->key);
-      if (!value) return KvResult{KvStatus::kNotFound, {}}.encode();
-      return KvResult{KvStatus::kOk, *value}.encode();
+      const Value* value = find(op->key);
+      if (!value) return KvResult::encode(KvStatus::kNotFound, {});
+      return KvResult::encode(KvStatus::kOk, value->bytes);
     }
     case KvOpCode::kPut: {
+      auto value = make_value(op->key, op->value);
+      xor_into(digest_, value->digest);
       Bucket& bucket = writable(index);
-      xor_into(digest_, entry_digest(op->key, op->value));
-      auto value = std::make_shared<const Bytes>(std::move(op->value));
       auto it = find_key(bucket, op->key);
       if (it != bucket.end() && it->key == op->key) {
-        xor_into(digest_, entry_digest(op->key, *it->value));
+        xor_into(digest_, it->value->digest);
         it->value = std::move(value);
       } else {
-        bucket.insert(it, Entry{std::move(op->key), std::move(value)});
+        bucket.insert(it, Entry{std::string(op->key), std::move(value)});
         ++size_;
       }
-      return KvResult{KvStatus::kOk, {}}.encode();
+      return KvResult::encode(KvStatus::kOk, {});
     }
     case KvOpCode::kDelete: {
-      if (!lookup(op->key)) return KvResult{KvStatus::kNotFound, {}}.encode();
+      if (!find(op->key)) return KvResult::encode(KvStatus::kNotFound, {});
       Bucket& bucket = writable(index);
       auto it = find_key(bucket, op->key);
-      xor_into(digest_, entry_digest(op->key, *it->value));
+      xor_into(digest_, it->value->digest);
       bucket.erase(it);
       --size_;
-      return KvResult{KvStatus::kOk, {}}.encode();
+      return KvResult::encode(KvStatus::kOk, {});
     }
   }
-  return KvResult{KvStatus::kBadRequest, {}}.encode();
+  return KvResult::encode(KvStatus::kBadRequest, {});
 }
 
 std::vector<std::shared_ptr<const KvStore::Bucket>> KvStore::buckets() const {
@@ -223,12 +250,12 @@ bool KvStore::restore(ByteSpan snapshot, const crypto::Digest& expect) {
   entries.reserve(n);
   crypto::Digest digest;
   for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = to_string(r.bytes());
-    Bytes value = r.bytes();
+    const std::string_view key = as_chars(r.bytes_view());
+    const ByteSpan value = r.bytes_view();
     if (!r.ok()) return false;
-    xor_into(digest, entry_digest(key, value));
-    entries.push_back(
-        Entry{std::move(key), std::make_shared<const Bytes>(std::move(value))});
+    auto stored = make_value(key, value);
+    xor_into(digest, stored->digest);
+    entries.push_back(Entry{std::string(key), std::move(stored)});
   }
   if (!r.at_end()) return false;
   // Any order is accepted; sorted, each bucket is built by appends.

@@ -6,7 +6,8 @@
 //
 // The state digest is the XOR of one digest per live entry: it does not
 // depend on insertion or iteration order, and each mutation updates it in
-// O(1).
+// O(1). Each value is stored with its entry's digest, so a put or delete
+// XORs the replaced entry out without hashing it again.
 //
 // The state is kBuckets copy-on-write buckets, each mapping key -> shared
 // immutable value. version() copies the bucket pointers, O(buckets), and
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/service.hpp"
@@ -29,6 +31,16 @@ namespace copbft::app {
 
 enum class KvOpCode : std::uint8_t { kGet = 1, kPut = 2, kDelete = 3 };
 enum class KvStatus : std::uint8_t { kOk = 0, kNotFound = 1, kBadRequest = 2 };
+
+/// A well-formed request payload's fields, viewed in place: valid while
+/// the payload is.
+struct KvOpView {
+  KvOpCode op = KvOpCode::kGet;
+  std::string_view key;
+  ByteSpan value;
+
+  static std::optional<KvOpView> parse(ByteSpan payload);
+};
 
 struct KvOp {
   KvOpCode op = KvOpCode::kGet;
@@ -43,7 +55,9 @@ struct KvResult {
   KvStatus status = KvStatus::kOk;
   Bytes value;
 
-  Bytes encode() const;
+  Bytes encode() const { return encode(status, value); }
+  /// A reply's bytes, in one buffer sized once.
+  static Bytes encode(KvStatus status, ByteSpan value);
   static std::optional<KvResult> decode(ByteSpan payload);
 };
 
@@ -62,7 +76,7 @@ class KvStore final : public Service {
   /// in flight.
   crypto::Digest state_digest() const override;
   bool pre_validate(const protocol::Request& request) override {
-    return KvOp::decode(request.payload).has_value();
+    return KvOpView::parse(request.payload).has_value();
   }
   /// Canonical (sorted-by-key) encoding: [n u32 | (key bytes, value
   /// bytes) * n]. Sorting is for reproducibility only — the XOR digest is
@@ -103,9 +117,14 @@ class KvStore final : public Service {
   friend class ExecutionScope;
   class Version;
 
+  /// A stored value and the digest of its entry (key and value).
+  struct Value {
+    Bytes bytes;
+    crypto::Digest digest;
+  };
   struct Entry {
     std::string key;
-    std::shared_ptr<const Bytes> value;
+    std::shared_ptr<const Value> value;
   };
   /// Entries sorted by key: a clone is one contiguous copy, and a lookup
   /// binary-searches one array.
@@ -123,7 +142,11 @@ class KvStore final : public Service {
   /// not order this write after another thread's last read of the bucket.
   Bucket& writable(std::size_t index);
   std::vector<std::shared_ptr<const Bucket>> buckets() const;
-  crypto::Digest entry_digest(const std::string& key, ByteSpan value) const;
+  const Value* find(std::string_view key) const;
+  /// A value for `key`, its bytes copied from `value` once, with its
+  /// entry digest.
+  std::shared_ptr<const Value> make_value(std::string_view key,
+                                          ByteSpan value) const;
   static void xor_into(crypto::Digest& acc, const crypto::Digest& d);
   void assert_quiescent(const char* op) const;
 

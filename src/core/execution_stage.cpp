@@ -70,7 +70,9 @@ ExecutionStage::ExecutionStage(ReplicaId self,
       m_replies_sent_(metrics::MetricsRegistry::global().counter(
           exec_metric(self, "replies_sent"))),
       m_execute_us_(metrics::MetricsRegistry::global().histogram(
-          exec_metric(self, "execute_us"))) {
+          exec_metric(self, "execute_us"))),
+      m_reorder_wait_us_(metrics::MetricsRegistry::global().histogram(
+          exec_metric(self, "reorder_wait_us"))) {
   inbox_.instrument(
       metrics::MetricsRegistry::global().gauge(exec_metric(self, "queue_depth")),
       metrics::MetricsRegistry::global().counter(
@@ -185,7 +187,7 @@ COP_HOT void ExecutionStage::buffer(CommittedBatch batch) {
   if (slot != reorder_.end() && slot->first == seq) {
     // A duplicate commit is tolerated, a conflicting one is a fork: two
     // different batches for one slot can not both enter the total order.
-    COP_INVARIANT(same_batch(slot->second, batch),
+    COP_INVARIANT(same_batch(slot->second.batch, batch),
                   "conflicting commits for seq %llu: the total order "
                   "would fork or leave a hole",
                   static_cast<unsigned long long>(seq));
@@ -193,7 +195,7 @@ COP_HOT void ExecutionStage::buffer(CommittedBatch batch) {
   }
   trace::point(trace::Point::kReorderEnter, self_, batch.pillar, seq,
                batch.view, /*client=*/0, /*request=*/0);
-  reorder_.emplace_hint(slot, seq, std::move(batch));
+  reorder_.emplace_hint(slot, seq, Buffered{std::move(batch), now_us()});
   m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
 }
 
@@ -228,9 +230,10 @@ COP_HOT void ExecutionStage::apply_ready() {
     const auto ready = reorder_.begin();
     const protocol::SeqNum next = next_seq_.load(std::memory_order_relaxed);
     if (ready->first != next) break;
+    m_reorder_wait_us_.record(now_us() - ready->second.since_us);
     {
       metrics::ScopedTimer timer(m_execute_us_);
-      execute_batch(ready->second);
+      execute_batch(ready->second.batch);
     }
     reorder_.erase(ready);
     m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));

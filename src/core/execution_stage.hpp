@@ -207,8 +207,14 @@ class ExecutionStage {
   /// thread may read it.
   std::atomic<protocol::SeqNum> next_seq_{1};
 
+  /// A commit in the reorder buffer and when it entered.
+  struct Buffered {
+    CommittedBatch batch;
+    std::uint64_t since_us = 0;
+  };
+
   // Owned by the stage thread.
-  std::map<protocol::SeqNum, CommittedBatch> reorder_;
+  std::map<protocol::SeqNum, Buffered> reorder_;
   /// Highest seq admitted past the stale check, dropped commits included.
   protocol::SeqNum highest_admitted_ = 0;
   /// Frontier of the current stall and when the stage first saw it
@@ -228,6 +234,7 @@ class ExecutionStage {
   metrics::Counter& m_requests_executed_;
   metrics::Counter& m_replies_sent_;
   metrics::HistogramMetric& m_execute_us_;
+  metrics::HistogramMetric& m_reorder_wait_us_;
 
   // Counters: written only by the stage thread, snapshotted by stats().
   StageCounter n_batches_executed_;

@@ -241,7 +241,8 @@ void Pillar::handle_command(PillarCommand& command) {
 }
 
 COP_HOT void Pillar::drain_effects() {
-  for (protocol::Effect& effect : core_.take_effects()) {
+  core_.take_effects(effects_);
+  for (protocol::Effect& effect : effects_) {
     if (auto* bc = std::get_if<protocol::Broadcast>(&effect)) {
       round_.broadcast(std::move(bc->msg));
     } else if (auto* send = std::get_if<protocol::SendTo>(&effect)) {
@@ -261,6 +262,7 @@ COP_HOT void Pillar::drain_effects() {
       if (on_catch_up_) on_catch_up_(st->observed_seq);
     }
   }
+  effects_.clear();
 }
 
 }  // namespace copbft::core

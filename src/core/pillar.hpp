@@ -160,6 +160,9 @@ class Pillar final : public transport::FrameSink {
   protocol::PbftCore core_;
   /// What the core sent during the current round (pillar thread only).
   RoundOutbox round_;
+  /// The effects being drained; its buffer and the core's trade places at
+  /// every drain, so neither reallocates (pillar thread only).
+  std::vector<protocol::Effect> effects_;
 
   mutable Mutex stats_mutex_;
   protocol::CoreStats stats_snapshot_ COP_GUARDED_BY(stats_mutex_);

@@ -56,6 +56,9 @@ struct ProtocolConfig {
   void validate() const {
     if (num_replicas < 3 * max_faulty + 1)
       throw std::invalid_argument("need N >= 3f + 1 replicas");
+    if (num_replicas > ReplicaSet::kCapacity)
+      throw std::invalid_argument(
+          "at most 64 replicas (vote sets are bitmasks)");
     if (checkpoint_interval == 0 || window < checkpoint_interval)
       throw std::invalid_argument("window must cover >= 1 checkpoint interval");
     if (max_batch == 0) throw std::invalid_argument("max_batch must be > 0");

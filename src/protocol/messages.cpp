@@ -29,8 +29,12 @@ void write_request_full(WireWriter& w, const Request& m) {
   w.authenticator(m.auth);
 }
 
+std::size_t request_body_size(const Request& m) {
+  return 4 + 8 + 1 + 4 + m.payload.size();
+}
+
 std::size_t request_full_size(const Request& m) {
-  return 1 + 4 + 8 + 1 + 4 + m.payload.size() + auth_size(m.auth);
+  return 1 + request_body_size(m) + auth_size(m.auth);
 }
 
 Request read_request_full(WireReader& r) {
@@ -267,7 +271,7 @@ std::size_t encoded_size(const Message& msg) {
       [](const auto& m) -> std::size_t {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, Request>) {
-          return 4 + 8 + 1 + 4 + m.payload.size();
+          return request_body_size(m);
         } else if constexpr (std::is_same_v<T, PrePrepare>) {
           return 8 + 8 + 32 + requests_size(m.requests);
         } else if constexpr (std::is_same_v<T, Prepare> ||
@@ -427,25 +431,38 @@ std::optional<Decoded> decode_message(ByteSpan data) {
   return Decoded{std::move(msg), body_size};
 }
 
+const std::shared_ptr<const Batch::Requests>& Batch::empty_shared() {
+  static const std::shared_ptr<const Requests> empty =
+      std::make_shared<const Requests>();
+  return empty;
+}
+
 Bytes request_authenticated_bytes(const Request& req) {
   Bytes out;
+  write_request_authenticated(out, req);
+  return out;
+}
+
+void write_request_authenticated(Bytes& out, const Request& req) {
+  out.clear();
+  out.reserve(1 + request_body_size(req));
   WireWriter w(out);
   w.u8(static_cast<std::uint8_t>(MsgType::kRequest));
   write_request_body(w, req);
-  return out;
 }
 
 crypto::Digest batch_digest(const crypto::CryptoProvider& crypto,
                             const std::vector<Request>& requests) {
-  Bytes buf;
+  std::size_t size = 4;
+  for (const auto& req : requests) size += request_body_size(req);
+  // Per thread, so batches are encoded without allocating once it has
+  // grown to the largest one seen.
+  thread_local Bytes buf;
+  buf.clear();
+  buf.reserve(size);
   WireWriter w(buf);
   w.u32(static_cast<std::uint32_t>(requests.size()));
-  for (const auto& req : requests) {
-    w.u32(req.client);
-    w.u64(req.id);
-    w.u8(req.flags);
-    w.bytes(req.payload);
-  }
+  for (const auto& req : requests) write_request_body(w, req);
   return crypto.digest(buf);
 }
 

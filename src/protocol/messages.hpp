@@ -8,6 +8,7 @@
 // prefix ends (body_size) so receivers can verify without re-encoding.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <variant>
@@ -48,6 +49,46 @@ struct Request {
   std::uint64_t key() const { return request_key(client, id); }
 };
 
+/// The requests of one proposal, built once and then shared read-only: a
+/// received PrePrepare's batch becomes its instance's and its Deliver's,
+/// and a leader's instance and its outgoing PrePrepare hold one object.
+/// Reads see a const vector (empty when none was set); assignment and
+/// push_back replace it with a new one, so no holder sees a batch change.
+class Batch {
+ public:
+  using Requests = std::vector<Request>;
+
+  Batch() = default;
+  Batch(Requests requests)
+      : shared_(std::make_shared<const Requests>(std::move(requests))) {}
+  Batch(std::initializer_list<Request> requests)
+      : Batch(Requests(requests)) {}
+
+  const Requests& get() const { return *shared(); }
+  operator const Requests&() const { return get(); }
+  /// The batch as the execution stage takes it; never null.
+  const std::shared_ptr<const Requests>& shared() const {
+    return shared_ ? shared_ : empty_shared();
+  }
+
+  std::size_t size() const { return get().size(); }
+  bool empty() const { return get().empty(); }
+  Requests::const_iterator begin() const { return get().begin(); }
+  Requests::const_iterator end() const { return get().end(); }
+
+  /// Copies the batch with `req` appended; for building test messages.
+  void push_back(Request req) {
+    Requests grown = get();
+    grown.push_back(std::move(req));
+    *this = Batch(std::move(grown));
+  }
+
+ private:
+  static const std::shared_ptr<const Requests>& empty_shared();
+
+  std::shared_ptr<const Requests> shared_;
+};
+
 /// Leader's proposal: assigns `seq` to a batch of requests. An empty batch
 /// is a no-op instance (used to fill sequence-number gaps, paper §4.2.1).
 struct PrePrepare {
@@ -55,7 +96,7 @@ struct PrePrepare {
   SeqNum seq = 0;
   /// Digest over the canonical encoding of `requests`.
   crypto::Digest digest;
-  std::vector<Request> requests;
+  Batch requests;
   crypto::Authenticator auth;
 };
 
@@ -99,7 +140,7 @@ struct PreparedProof {
   ViewId view = 0;
   SeqNum seq = 0;
   crypto::Digest digest;
-  std::vector<Request> requests;
+  Batch requests;
 };
 
 struct ViewChange {
@@ -203,6 +244,9 @@ std::optional<Decoded> decode_message(ByteSpan data);
 
 /// The bytes a client MACs for a request: the request's [tag | body].
 Bytes request_authenticated_bytes(const Request& req);
+/// Writes the same bytes over `out`: a caller that passes one buffer every
+/// time allocates only when a request outgrows it.
+void write_request_authenticated(Bytes& out, const Request& req);
 
 // ---- vote bundles ----------------------------------------------------------
 //

@@ -28,6 +28,9 @@ PbftCore::PbftCore(ProtocolConfig config, ReplicaId self, SeqSlice slice,
       verifier_(verifier),
       crypto_(crypto) {
   config_.validate();
+  // Every in-window slice member has a slot of its own.
+  log_.resize(static_cast<std::size_t>(
+      (config_.window + slice_.stride - 1) / slice_.stride));
   // Sequence number 0 is the genesis marker; real instances start at 1.
   // A slice's first proposable member is its smallest member > 0.
   next_index_ = (slice_.offset == 0) ? 1 : 0;
@@ -105,7 +108,7 @@ void PbftCore::equivocate_pre_prepare(PrePrepare real) {
   PrePrepare decoy;
   decoy.view = real.view;
   decoy.seq = real.seq;
-  decoy.requests = {};
+  decoy.requests = Batch::Requests{};
   decoy.digest = batch_digest(crypto_, decoy.requests);
 
   ++stats_.adversary_equivocations;
@@ -216,15 +219,14 @@ void PbftCore::handle_pre_prepare(IncomingMessage im) {
   }
 
   // Follower: vote.
-  Instance& accepted = instances_.at(pp.seq);
-  if (!accepted.sent_prepare) {
-    accepted.sent_prepare = true;
-    Prepare prep{pp.view, pp.seq, accepted.digest, self_, {}};
-    accepted.prepares.insert(self_);
+  if (!inst.sent_prepare) {
+    inst.sent_prepare = true;
+    Prepare prep{pp.view, pp.seq, inst.digest, self_, {}};
+    inst.prepares.insert(self_);
     emit(Broadcast{prep});
   }
-  process_deferred(accepted);
-  evaluate(accepted);
+  process_deferred(inst);
+  evaluate(inst);
   // Under leader rotation, accepting this slot may make the next slot —
   // ours — proposable.
   maybe_propose();
@@ -249,7 +251,7 @@ bool PbftCore::accept_pre_prepare(const PrePrepare& pp, ReplicaId proposer,
   inst.have_pre_prepare = true;
   add_outstanding(inst);
   inst.digest = pp.digest;
-  inst.requests = std::make_shared<const std::vector<Request>>(pp.requests);
+  inst.requests = pp.requests;
   note_activity(inst.last_activity_us);
   trace_instance(trace::Point::kPrePrepare, self_, slice_, pp.seq, pp.view);
 
@@ -425,22 +427,40 @@ void PbftCore::deliver(Instance& inst) {
   trace_instance(trace::Point::kCommit, self_, slice_, inst.seq, inst.view);
   note_progress();
   ++stats_.instances_delivered;
-  stats_.requests_delivered += inst.requests ? inst.requests->size() : 0;
-  for (const Request& req : *inst.requests) verified_keys_.erase(req.key());
-  emit(Deliver{inst.seq, inst.view, inst.requests});
+  stats_.requests_delivered += inst.requests.size();
+  for (const Request& req : inst.requests) verified_keys_.erase(req.key());
+  emit(Deliver{inst.seq, inst.view, inst.requests.shared()});
   // A finished own proposal may free a slot under max_active_proposals.
   maybe_propose();
 }
 
 PbftCore::Instance& PbftCore::instance_at(SeqNum seq) {
-  auto [it, inserted] = instances_.try_emplace(seq);
-  if (inserted) {
-    it->second.seq = seq;
-    it->second.view = view_;
-    it->second.proposer = config_.leader_for(view_, seq);
-    note_activity(it->second.last_activity_us);
+  assert(in_window(seq) && slice_.contains(seq));
+  Instance& inst = log_[slot_index(seq)];
+  if (inst.seq != seq) {
+    // Two in-window members never share a slot, and make_stable freed
+    // every truncated one.
+    assert(inst.seq == 0);
+    inst.seq = seq;
+    inst.view = view_;
+    inst.proposer = config_.leader_for(view_, seq);
+    note_activity(inst.last_activity_us);
+    ++open_instances_;
+    log_top_ = std::max(log_top_, seq);
   }
-  return it->second;
+  return inst;
+}
+
+PbftCore::Instance* PbftCore::find_instance(SeqNum seq) {
+  if (!in_window(seq)) return nullptr;
+  Instance& inst = log_[slot_index(seq)];
+  return inst.seq == seq ? &inst : nullptr;
+}
+
+void PbftCore::release(Instance& inst) {
+  remove_outstanding(inst);
+  inst = Instance{};
+  --open_instances_;
 }
 
 void PbftCore::add_outstanding(const Instance& inst) {
@@ -457,11 +477,11 @@ void PbftCore::remove_outstanding(const Instance& inst) {
 
 std::pair<std::size_t, std::size_t> PbftCore::scan_outstanding() const {
   std::size_t all = 0, own = 0;
-  for (const auto& [seq, inst] : instances_) {
-    if (!inst.have_pre_prepare || inst.delivered) continue;
+  for_each_instance(*this, [&](const Instance& inst) {
+    if (!inst.have_pre_prepare || inst.delivered) return;
     ++all;
     if (inst.proposer == self_) ++own;
-  }
+  });
   return {all, own};
 }
 
@@ -474,8 +494,8 @@ std::pair<std::size_t, std::size_t> PbftCore::scan_outstanding() const {
 /// fill but whose index we would have abandoned.
 void PbftCore::advance_next_index() {
   while (true) {
-    auto it = instances_.find(slice_.at(next_index_));
-    if (it == instances_.end() || !it->second.have_pre_prepare) return;
+    const Instance* inst = find_instance(slice_.at(next_index_));
+    if (inst == nullptr || !inst->have_pre_prepare) return;
     ++next_index_;
   }
 }
@@ -531,9 +551,8 @@ void PbftCore::propose_batch(std::vector<Request> batch) {
   inst.have_pre_prepare = true;
   add_outstanding(inst);
   inst.digest = pp.digest;
-  inst.requests =
-      std::make_shared<const std::vector<Request>>(pp.requests);
-  for (const Request& req : *inst.requests) ordered_keys_.insert(req.key());
+  inst.requests = pp.requests;
+  for (const Request& req : inst.requests) ordered_keys_.insert(req.key());
   trace_instance(trace::Point::kPrePrepare, self_, slice_, seq, view_);
 
   if (!pp.requests.empty() && adversary_active() && config_.adversary.equivocate)
@@ -683,19 +702,17 @@ void PbftCore::evaluate_checkpoint(SeqNum seq, CheckpointState& state) {
 
 void PbftCore::make_stable(SeqNum seq, const crypto::Digest& digest) {
   if (seq <= stable_seq_) return;
+  // Garbage-collect everything at or below the stable point (the walk
+  // covers the old window, so it runs before stable_seq_ moves).
+  for_each_instance(*this, [&](Instance& inst) {
+    if (inst.seq > seq) return;
+    for (const Request& req : inst.requests) ordered_keys_.erase(req.key());
+    release(inst);
+  });
   stable_seq_ = seq;
   stable_digest_ = digest;
   note_progress();
 
-  // Garbage-collect everything at or below the stable point.
-  for (auto it = instances_.begin();
-       it != instances_.end() && it->first <= seq;) {
-    if (it->second.requests)
-      for (const Request& req : *it->second.requests)
-        ordered_keys_.erase(req.key());
-    remove_outstanding(it->second);
-    it = instances_.erase(it);
-  }
   for (auto it = checkpoints_.begin();
        it != checkpoints_.end() && it->first <= seq;)
     it = checkpoints_.erase(it);
@@ -755,23 +772,23 @@ void PbftCore::tick(std::uint64_t now_us) {
 
 void PbftCore::retransmit_stalled() {
   const std::uint64_t interval = config_.retransmit_interval_us;
-  // The bound takes every undelivered instance, in the window or not, so a
-  // window slide cannot bring one into range past its deadline unseen.
+  // The bound takes every undelivered instance; the log holds in-window
+  // ones only.
   std::uint64_t due = UINT64_MAX;
-  for (auto& [seq, inst] : instances_) {
-    if (inst.delivered) continue;
-    const bool stalled =
-        in_window(seq) && now_us_ >= inst.last_activity_us + interval;
+  for_each_instance(*this, [&](Instance& inst) {
+    if (inst.delivered) return;
+    const SeqNum seq = inst.seq;
+    const bool stalled = now_us_ >= inst.last_activity_us + interval;
     if (stalled) inst.last_activity_us = now_us_;
     due = std::min(due, inst.last_activity_us + interval);
-    if (!stalled) continue;
+    if (!stalled) return;
     if (inst.have_pre_prepare) {
-      if (inst.proposer == self_ && inst.requests) {
+      if (inst.proposer == self_) {
         PrePrepare pp;
         pp.view = inst.view;
         pp.seq = seq;
         pp.digest = inst.digest;
-        pp.requests = *inst.requests;
+        pp.requests = inst.requests;
         emit(Broadcast{std::move(pp)});
       }
       if (inst.sent_prepare)
@@ -783,7 +800,7 @@ void PbftCore::retransmit_stalled() {
       // checkpoint install there may be none): ask its proposer.
       emit(SendTo{inst.proposer, Fetch{view_, seq, self_, {}}});
     }
-  }
+  });
   for (auto& [seq, state] : checkpoints_) {
     if (state.stable || !state.have_own) continue;
     const bool stalled = now_us_ >= state.last_activity_us + interval;
@@ -802,9 +819,8 @@ void PbftCore::handle_fetch(IncomingMessage im) {
     ++stats_.verifications_skipped;
     return;
   }
-  auto it = instances_.find(fetch.seq);
-  if (it == instances_.end() || !it->second.have_pre_prepare ||
-      it->second.proposer != self_ || !it->second.requests) {
+  const Instance* inst = find_instance(fetch.seq);
+  if (inst == nullptr || !inst->have_pre_prepare || inst->proposer != self_) {
     ++stats_.verifications_skipped;
     return;
   }
@@ -813,10 +829,10 @@ void PbftCore::handle_fetch(IncomingMessage im) {
     return;
   }
   PrePrepare pp;
-  pp.view = it->second.view;
+  pp.view = inst->view;
   pp.seq = fetch.seq;
-  pp.digest = it->second.digest;
-  pp.requests = *it->second.requests;
+  pp.digest = inst->digest;
+  pp.requests = inst->requests;
   emit(SendTo{fetch.replica, std::move(pp)});
 }
 
@@ -833,15 +849,15 @@ void PbftCore::initiate_view_change(ViewId target) {
   vc.stable_seq = stable_seq_;
   vc.stable_digest = stable_digest_;
   vc.replica = self_;
-  for (const auto& [seq, inst] : instances_) {
-    if (!inst.prepared) continue;
+  for_each_instance(*this, [&](const Instance& inst) {
+    if (!inst.prepared) return;
     PreparedProof proof;
     proof.view = inst.view;
-    proof.seq = seq;
+    proof.seq = inst.seq;
     proof.digest = inst.digest;
-    proof.requests = *inst.requests;
+    proof.requests = inst.requests;
     vc.prepared.push_back(std::move(proof));
-  }
+  });
   vc_msgs_[target][self_] = vc;
   emit(Broadcast{std::move(vc)});
   evaluate_view_change(target);
@@ -914,7 +930,7 @@ void PbftCore::broadcast_new_view(ViewId target) {
       pp.requests = bit->second->requests;
       pp.digest = bit->second->digest;
     } else {
-      pp.digest = batch_digest(crypto_, {});
+      pp.digest = batch_digest(crypto_, Batch::Requests{});
     }
     nv.pre_prepares.push_back(std::move(pp));
   }
@@ -951,6 +967,13 @@ void PbftCore::apply_new_view(const NewView& nv) {
   for (const PrePrepare& pp : nv.pre_prepares) {
     top = std::max(top, pp.seq);
     if (pp.seq <= stable_seq_ || !slice_.contains(pp.seq)) continue;
+    if (!in_window(pp.seq)) {
+      // The new view's base leads our stable checkpoint by more than the
+      // window: the log cannot hold this instance, and only a state
+      // transfer brings us to where it can.
+      hint_state_transfer(pp.seq);
+      continue;
+    }
     Instance& inst = instance_at(pp.seq);
     if (inst.delivered) {
       // Already executed here. PBFT safety guarantees any re-proposal
@@ -965,7 +988,7 @@ void PbftCore::apply_new_view(const NewView& nv) {
     inst.have_pre_prepare = true;
     add_outstanding(inst);
     inst.digest = pp.digest;
-    inst.requests = std::make_shared<const std::vector<Request>>(pp.requests);
+    inst.requests = pp.requests;
     inst.prepares.clear();
     inst.commits.clear();
     inst.prepared = false;
@@ -989,15 +1012,10 @@ void PbftCore::apply_new_view(const NewView& nv) {
   // Instances above the new-view horizon that were in flight in the old
   // view are void; their requests go back through the normal path (client
   // retransmission covers any we did not keep).
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    Instance& inst = it->second;
-    if (inst.seq > top && inst.view < nv.view && !inst.delivered) {
-      remove_outstanding(inst);
-      it = instances_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  for_each_instance(*this, [&](Instance& inst) {
+    if (inst.seq > top && inst.view < nv.view && !inst.delivered)
+      release(inst);
+  });
   rebuild_ordered_keys();
 
   if (!pending_.empty()) {
@@ -1015,10 +1033,9 @@ void PbftCore::apply_new_view(const NewView& nv) {
 
 void PbftCore::rebuild_ordered_keys() {
   ordered_keys_.clear();
-  for (const auto& [seq, inst] : instances_) {
-    if (!inst.requests) continue;
-    for (const Request& req : *inst.requests) ordered_keys_.insert(req.key());
-  }
+  for_each_instance(*this, [&](const Instance& inst) {
+    for (const Request& req : inst.requests) ordered_keys_.insert(req.key());
+  });
 }
 
 }  // namespace copbft::protocol

@@ -145,9 +145,16 @@ class PbftCore {
   // ---- outputs ----------------------------------------------------------
 
   std::vector<Effect>& effects() { return effects_; }
+  /// Moves the pending effects into `out`, which is cleared first, and
+  /// keeps `out`'s old buffer for the next ones: a host that drains into
+  /// the same vector every time reallocates neither.
+  void take_effects(std::vector<Effect>& out) {
+    out.clear();
+    out.swap(effects_);
+  }
   std::vector<Effect> take_effects() {
     std::vector<Effect> out;
-    out.swap(effects_);
+    take_effects(out);
     return out;
   }
 
@@ -159,30 +166,34 @@ class PbftCore {
   /// Next sequence number this core would propose.
   SeqNum next_proposal_seq() const { return slice_.at(next_index_); }
   std::size_t pending_requests() const { return pending_.size(); }
-  std::size_t open_instances() const { return instances_.size(); }
+  std::size_t open_instances() const { return open_instances_; }
   const CoreStats& stats() const { return stats_; }
   const ProtocolConfig& config() const { return config_; }
   ReplicaId self() const { return self_; }
   const SeqSlice& slice() const { return slice_; }
 
  private:
+  // What the log walks read (seq, proposer, the flags, the activity
+  // stamp) comes first, so a walk reads the head of each slot only.
   struct Instance {
     SeqNum seq = 0;
     ViewId view = 0;        ///< View the accepted pre-prepare belongs to.
+    /// Last time this instance made progress (for retransmission).
+    std::uint64_t last_activity_us = 0;
     ReplicaId proposer = 0; ///< Whose pre-prepare authority; excluded from
                             ///< the prepare quorum.
     bool have_pre_prepare = false;
-    crypto::Digest digest;
-    std::shared_ptr<const std::vector<Request>> requests;
-    std::set<ReplicaId> prepares;
-    std::set<ReplicaId> commits;
     bool sent_prepare = false;
     bool sent_commit = false;
     bool prepared = false;
     bool committed = false;
     bool delivered = false;
-    /// Last time this instance made progress (for retransmission).
-    std::uint64_t last_activity_us = 0;
+    ReplicaSet prepares;
+    ReplicaSet commits;
+    crypto::Digest digest;
+    /// The accepted proposal's batch, shared with its PrePrepare and its
+    /// Deliver.
+    Batch requests;
     /// Votes that arrived before the pre-prepare; verified lazily once the
     /// digest is known.
     std::vector<IncomingMessage> deferred;
@@ -224,7 +235,30 @@ class PbftCore {
   void process_deferred(Instance& inst);
   void evaluate(Instance& inst);
   void deliver(Instance& inst);
+
+  // instance log: one slot per slice member of (stable, stable + window]
+  /// The instance of `seq`, created if the log holds none. Precondition:
+  /// in_window(seq) and slice_.contains(seq).
   Instance& instance_at(SeqNum seq);
+  /// The instance of slice member `seq`, or null if the log holds none.
+  Instance* find_instance(SeqNum seq);
+  /// Empties an instance's slot.
+  void release(Instance& inst);
+  /// The slot of slice member `seq`: its slice index modulo the log size.
+  std::size_t slot_index(SeqNum seq) const {
+    return static_cast<std::size_t>(seq / slice_.stride) % log_.size();
+  }
+  /// Calls `fn` on every instance the log holds, in ascending seq.
+  template <typename Self, typename Fn>
+  static void for_each_instance(Self& self, Fn&& fn) {
+    const SeqNum last =
+        std::min(self.log_top_, self.stable_seq_ + self.config_.window);
+    for (SeqNum seq = self.slice_.next_at_or_after(self.stable_seq_ + 1);
+         seq <= last; seq += self.slice_.stride) {
+      auto& slot = self.log_[self.slot_index(seq)];
+      if (slot.seq == seq) fn(slot);
+    }
+  }
 
   /// An instance is outstanding while it holds a pre-prepare and is not
   /// delivered. Every change of have_pre_prepare, delivered or proposer
@@ -309,7 +343,14 @@ class PbftCore {
   crypto::Digest stable_digest_;
   SeqNum next_index_ = 0;  ///< local instance counter i; seq = slice.at(i)
 
-  std::map<SeqNum, Instance> instances_;
+  /// The instance log: ceil(window / stride) slots, slice index i in slot
+  /// i % size. Only in-window instances exist, so no two share a slot; a
+  /// slot is free while its seq is 0. make_stable resets truncated slots
+  /// in place.
+  std::vector<Instance> log_;
+  std::size_t open_instances_ = 0;
+  /// Highest seq ever given a slot; bounds the log walk from above.
+  SeqNum log_top_ = 0;
   std::map<SeqNum, CheckpointState> checkpoints_;
   /// Outstanding instances (add_outstanding), and those this replica
   /// proposed: max_active_proposals counts the latter.

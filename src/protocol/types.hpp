@@ -1,6 +1,8 @@
 // Vocabulary types of the replication protocol.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/key_store.hpp"
@@ -31,6 +33,26 @@ inline bool is_client_node(crypto::KeyNodeId n) { return n >= kClientIdBase; }
 inline std::uint64_t request_key(ClientId client, RequestId id) {
   return (std::uint64_t{client} << 40) | (id & ((1ULL << 40) - 1));
 }
+
+/// A set of replica ids below kCapacity in one word: a vote set that never
+/// allocates. ProtocolConfig::validate keeps every group within it.
+class ReplicaSet {
+ public:
+  static constexpr std::uint32_t kCapacity = 64;
+
+  /// Precondition: r < kCapacity. Inserting a member again changes nothing.
+  void insert(ReplicaId r) { bits_ |= std::uint64_t{1} << r; }
+  bool contains(ReplicaId r) const {
+    return r < kCapacity && ((bits_ >> r) & 1) != 0;
+  }
+  std::size_t size() const {
+    return static_cast<std::size_t>(std::popcount(bits_));
+  }
+  void clear() { bits_ = 0; }
+
+ private:
+  std::uint64_t bits_ = 0;
+};
 
 /// How leadership is assigned to consensus instances (paper §4.3.2).
 enum class LeaderScheme : std::uint8_t {

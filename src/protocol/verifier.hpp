@@ -27,7 +27,7 @@ class MessageVerifier {
 };
 
 /// Verifier over a CryptoProvider; re-encodes the authenticated part when
-/// no raw frame is available.
+/// no raw frame is available, and a request's into a per-thread buffer.
 class CryptoVerifier : public MessageVerifier {
  public:
   /// `self` is the node id MAC entries are addressed to. `bundles_checked`,
@@ -53,7 +53,9 @@ class CryptoVerifier : public MessageVerifier {
   }
 
   bool verify_request(const Request& req) override {
-    Bytes body = request_authenticated_bytes(req);
+    // Per thread: SMaRt's verification workers share one verifier.
+    thread_local Bytes body;
+    write_request_authenticated(body, req);
     return req.auth.verify(crypto_, client_node(req.client), self_, body);
   }
 

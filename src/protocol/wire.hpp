@@ -65,13 +65,18 @@ class WireReader {
   std::uint64_t u64() { return get_le(8); }
 
   Bytes bytes() {
+    const ByteSpan view = bytes_view();
+    return Bytes(view.begin(), view.end());
+  }
+
+  /// Length-prefixed (u32) byte string as a view into the input.
+  ByteSpan bytes_view() {
     std::uint32_t n = u32();
     if (!ok_ || data_.size() - pos_ < n) {
       ok_ = false;
       return {};
     }
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const ByteSpan out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
